@@ -1,19 +1,20 @@
 """Internal helpers for adjoint-driven bang-bang control construction.
 
 The adjoint of X' = A X + B u satisfies eta' = -A^T eta, so the switching
-function of channel j is g_j(t) = <eta(t), B_j>.  Switch times are located by
-the event machinery of the ode module and then polished on the closed-form
-switching function; the control takes the sign of g_j between switches.
+function of channel j is g_j(t) = <eta(t), B_j>, known in closed form through
+eta(t)^T = eta0^T e^{-tA}.  Switch times are the zeros of g_j, bracketed on a
+node grid and bisected on the closed form; the control takes the sign of g_j
+between switches.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from . import ode
 from .linsys import ControlSignal, LinearSystem, mat_exp
 
 # a channel whose switching function never rises above this relative floor is
@@ -41,7 +42,7 @@ _AUTO = object()
 
 
 class AdjointSampler:
-    """Evaluates eta(t)^T = eta0^T e^{-tA} and the switching functions.
+    """Evaluates the adjoint eta(t)^T = eta0^T e^{-tA}.
 
     Uses the eigendecomposition of A when it is reliably diagonalizable,
     falling back to per-time matrix exponentials otherwise.
@@ -66,9 +67,6 @@ class AdjointSampler:
         for i, ti in enumerate(ts):
             rows[i] = self.eta0 @ mat_exp(self.A, -float(ti))
         return rows.reshape(t.shape + (len(self.eta0),))
-
-    def switching(self, t, B_col: np.ndarray) -> np.ndarray:
-        return self.eta(t) @ B_col
 
 
 @dataclass
@@ -109,30 +107,17 @@ def control_from_channels(horizon: float, channel_switch_times: Sequence[np.ndar
     return ControlSignal(knots, values)
 
 
-def _polish_zero(g: Callable[[float], float], t_lo: float, t_hi: float,
-                 n_iter: int = 80) -> float:
-    """Bisection on the closed-form switching function inside a bracket."""
-    g_lo = g(t_lo)
-    g_hi = g(t_hi)
-    if g_lo == 0.0:
-        return t_lo
-    if g_hi == 0.0 or (g_lo > 0) == (g_hi > 0):
-        return 0.5 * (t_lo + t_hi)
-    for _ in range(n_iter):
-        mid = 0.5 * (t_lo + t_hi)
-        g_mid = g(mid)
-        if g_mid == 0.0:
-            return mid
-        if (g_mid > 0) == (g_lo > 0):
-            t_lo, g_lo = mid, g_mid
-        else:
-            t_hi, g_hi = mid, g_mid
-    return 0.5 * (t_lo + t_hi)
-
-
 def bang_profile(sys: LinearSystem, eta0: np.ndarray, T: float,
-                 n_steps: int = 2000) -> BangProfile:
-    """Locate each channel's switch times on [0, T] and build the control."""
+                 decomp=_AUTO) -> BangProfile:
+    """Locate each channel's switch times on [0, T] and build the control.
+
+    g_j is sampled on at least 16 nodes per half-period of the adjoint
+    (801 to 20001 nodes); each sign change between neighbouring nodes is
+    bisected on the closed form, and a node where g_j is exactly 0 between
+    opposite signs is taken as the zero itself.  A pair of zeros closer than
+    the node spacing can be missed, since g_j need not change sign on any
+    node in between.
+    """
     eta0 = np.asarray(eta0, dtype=float).reshape(-1)
     if eta0.shape != (sys.n,):
         raise ValueError(f"eta0 must have dimension {sys.n}")
@@ -141,18 +126,14 @@ def bang_profile(sys: LinearSystem, eta0: np.ndarray, T: float,
     if T <= 0:
         raise ValueError("T must be positive")
 
-    sampler = AdjointSampler(sys.A, eta0)
-    step = T / n_steps
-    # event-time error target: 1e-10 * T, as a fraction of the step
-    loc_tol = min(0.49, max(1e-12, 1e-10 * T / step))
-    grid = ode.TimeGrid(0.0, T, step)
-    neg_AT = np.ascontiguousarray(-sys.A.T)
-
-    def adjoint_rhs(t, e):
-        return neg_AT @ e
-
-    dense_t = np.linspace(0.0, T, n_steps + 1)
-    dense_eta = sampler.eta(dense_t)  # (n_steps+1, n)
+    sampler = AdjointSampler(sys.A, eta0, decomp=decomp)
+    if sampler._eig is not None:
+        omega = max(1.0, max(abs(w.imag) for w in sampler._eig[0]))
+    else:
+        omega = max(1.0, float(np.abs(sys.A).max()) * sys.n)
+    n_nodes = min(20001, max(801, int(16 * T * omega / math.pi) + 1))
+    ts = np.linspace(0.0, T, n_nodes)
+    G = sampler.eta(ts) @ sys.B                 # (n_nodes, m)
 
     channel_switches: List[np.ndarray] = []
     initial_signs = np.zeros(sys.m)
@@ -160,36 +141,34 @@ def bang_profile(sys: LinearSystem, eta0: np.ndarray, T: float,
 
     for j in range(sys.m):
         Bj = sys.B[:, j]
-        g_dense = dense_eta @ Bj
+        g = G[:, j]
         g_scale = max(1.0, float(np.linalg.norm(eta0)) * max(1.0, float(np.linalg.norm(Bj))))
-        g_max = float(np.abs(g_dense).max())
+        g_max = float(np.abs(g).max())
         if g_max <= _DEGENERATE_REL * g_scale:
             degenerate.append(j)
             channel_switches.append(np.empty(0))
             continue
 
-        event = ode.EventSpec(lambda t, e, B_col=Bj: float(e @ B_col), loc_tol)
-        _, raw_events = ode.integrate_with_events(adjoint_rhs, grid, eta0, event)
+        # sign changes between consecutive nonzero nodes; b > a + 1 means g
+        # is exactly 0 on the node(s) between them
+        s = np.sign(g)
+        nz = np.flatnonzero(s)
+        change = s[nz[:-1]] * s[nz[1:]] < 0
+        a, b = nz[:-1][change], nz[1:][change]
+        lo, hi, g_lo = ts[a], ts[b], g[a]
+        if len(a):
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                g_mid = sampler.eta(mid) @ Bj
+                left = (g_mid > 0) == (g_lo > 0)
+                lo = np.where(left, mid, lo)
+                g_lo = np.where(left, g_mid, g_lo)
+                hi = np.where(left, hi, mid)
+        zeros = np.where(b > a + 1, ts[(a + b) // 2], 0.5 * (lo + hi))
+        channel_switches.append(zeros[(zeros > 1e-12 * T) & (zeros < T * (1 - 1e-12))])
 
-        g_exact = lambda t, B_col=Bj: float(sampler.switching(np.array(t), B_col))
-        polished = []
-        # bracket must cover the RK4 zero-location error, yet stay far below
-        # the zero spacing so it holds exactly one zero
-        halo = max(10 * loc_tol * step, 1e-6 * T)
-        for te in raw_events:
-            lo = max(0.0, te - halo)
-            hi = min(T, te + halo)
-            polished.append(_polish_zero(g_exact, lo, hi))
-        polished = np.array(sorted(polished))
-        # drop boundary-coincident and duplicate zeros
-        if len(polished):
-            polished = polished[(polished > 1e-12 * T) & (polished < T * (1 - 1e-12))]
-        if len(polished) > 1:
-            polished = polished[np.concatenate(([True], np.diff(polished) > 1e-11 * T))]
-        channel_switches.append(polished)
-
-        nz = np.nonzero(np.abs(g_dense) > 1e-9 * g_max)[0]
-        initial_signs[j] = np.sign(g_dense[nz[0]]) if len(nz) else 1.0
+        first = np.nonzero(np.abs(g) > 1e-9 * g_max)[0]
+        initial_signs[j] = np.sign(g[first[0]]) if len(first) else 1.0
 
     control = control_from_channels(T, channel_switches, initial_signs)
     return BangProfile(

@@ -260,8 +260,7 @@ def _cmd_reach(cfg: _Cfg, out_dir, meta) -> str:
     K = cfg.integer("K", default=64)
     if K < 3:
         raise ConfigError(f"{cfg.path}.K", "K >= 3 required")
-    n_steps = cfg.integer("n_steps", default=2000, minimum=10)
-    hull = controllability.reach_hull(sys_lin, x0, T, K=K, n_steps=n_steps)
+    hull = controllability.reach_hull(sys_lin, x0, T, K=K)
     path = _resolve_out(cfg, out_dir, "hull.json")
     if path.endswith(".csv"):
         n = sys_lin.n
@@ -331,6 +330,12 @@ def _cmd_tmin_spring(cfg: _Cfg, out_dir, meta) -> str:
             f"endpoint_error={sol.endpoint_error:.3e}")
 
 
+# sample spacing of the linear extremal handed to check_extremal, whose ODE
+# residuals are one RK4 step per sample interval: sampling only at the
+# switches would inflate them
+_EXTREMAL_SAMPLE_STEP = 0.01
+
+
 def _cmd_check_extremal(cfg: _Cfg, out_dir, meta) -> str:
     if cfg.has("target") or (cfg.has("system") and cfg.sub("system").has("name")
                              and "spring" in cfg.sub("system").string("name")):
@@ -342,8 +347,9 @@ def _cmd_check_extremal(cfg: _Cfg, out_dir, meta) -> str:
         sys_lin = _parse_linear_system(cfg)
         x0 = cfg.vector("x0")
         x1 = cfg.vector("x1")
-        sol_lin = linear_tmin.solve_tmin(sys_lin, x0, x1)
-        report = _linear_extremal_report(sys_lin, sol_lin, x0, x1)
+        sol_lin = linear_tmin.solve_tmin(
+            sys_lin, x0, x1, linear_tmin.TminOptions(sample_step=_EXTREMAL_SAMPLE_STEP))
+        report = _linear_extremal_report(sys_lin, sol_lin)
     payload = report.to_json_dict()
     _write_json(_resolve_out(cfg, out_dir, "extremal_report.json"), payload, meta)
     worst = max(report.state_residual, report.adjoint_residual,
@@ -351,12 +357,11 @@ def _cmd_check_extremal(cfg: _Cfg, out_dir, meta) -> str:
     return f"max_residual={worst:.3e} abnormal={str(report.abnormal).lower()}"
 
 
-def _linear_extremal_report(sys_lin: LinearSystem, sol, x0, x1):
+def _linear_extremal_report(sys_lin: LinearSystem, sol):
     """Wrap a minimal-time linear solution as an extremal and check it."""
     nsys = nonlinear.from_linear(sys_lin)
-    control, traj, adjoint = linear_tmin.bang_bang_from_adjoint(
-        sys_lin, sol.eta0, sol.T_star, x0=np.asarray(x0, dtype=float))
-    eta = adjoint.states
+    traj = sol.trajectory
+    eta = sol.adjoint.states
     # free-time PMP: max_v H = <p, Ax> + sum |<p, b_j>| + p0 must vanish;
     # the adjoint flow keeps it constant, so read p0 off the initial sample
     drift = float(eta[0] @ (sys_lin.A @ traj.states[0]))
@@ -369,15 +374,15 @@ def _linear_extremal_report(sys_lin: LinearSystem, sol, x0, x1):
         p0 = 0.0
     ext = nonlinear.Extremal(
         trajectory=traj,
-        adjoint=Trajectory(adjoint.times, eta),
+        adjoint=Trajectory(sol.adjoint.times, eta),
         p0=p0,
-        control=control,
+        control=sol.control.to_control_signal(),
         problem_kind="free-time",
     )
     return nonlinear.check_extremal(
         nsys, ext,
-        m0=nonlinear.BoundaryManifold.point(x0),
-        m1=nonlinear.BoundaryManifold.point(x1),
+        m0=nonlinear.BoundaryManifold.point(sol.x0),
+        m1=nonlinear.BoundaryManifold.point(sol.x1),
     )
 
 

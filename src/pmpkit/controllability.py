@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from . import _bang
 from .linsys import ControlSignal, LinearSystem, mat_exp, simulate
-from .ode import Trajectory
 
 __all__ = [
     "KalmanMatrix",
@@ -70,8 +69,7 @@ def _require_unit_box(sys: LinearSystem) -> None:
         raise ValueError("reachable-set operations require control bounds [-1, 1] per channel")
 
 
-def reach_support(sys: LinearSystem, x0, T: float, eta_T,
-                  n_steps: int = 2000) -> SupportResult:
+def reach_support(sys: LinearSystem, x0, T: float, eta_T) -> SupportResult:
     """Support point and value of the reachable set in direction eta_T.
 
     The adjoint is carried backward from eta(T) = eta_T, the bang-bang
@@ -93,7 +91,7 @@ def reach_support(sys: LinearSystem, x0, T: float, eta_T,
     # eta(t)^T = eta_T^T e^{(T-t)A}, so the forward initial value is
     # eta(0) = e^{T A^T} eta_T
     eta0 = mat_exp(sys.A.T, T) @ eta_T
-    profile = _bang.bang_profile(sys, eta0, T, n_steps=n_steps)
+    profile = _bang.bang_profile(sys, eta0, T)
     traj = simulate(sys, x0, profile.control, T)
     point = traj.endpoint
     return SupportResult(
@@ -138,8 +136,7 @@ class ReachHull:
 
 
 def reach_hull(sys: LinearSystem, x0, T: float, K: int = 64,
-               directions: Optional[np.ndarray] = None,
-               n_steps: int = 2000) -> ReachHull:
+               directions: Optional[np.ndarray] = None) -> ReachHull:
     """Sample the support function in K directions (uniform angles for n=2)."""
     if directions is None:
         if sys.n != 2:
@@ -163,7 +160,7 @@ def reach_hull(sys: LinearSystem, x0, T: float, K: int = 64,
     values = np.empty(len(directions))
     degenerate = []
     for i, d in enumerate(directions):
-        res = reach_support(sys, x0, T, d, n_steps=n_steps)
+        res = reach_support(sys, x0, T, d)
         points[i] = res.point
         values[i] = res.value
         degenerate.append(res.degenerate_channels)

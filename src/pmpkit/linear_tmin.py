@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -110,13 +110,12 @@ class TminOptions:
 
 
 def bang_bang_from_adjoint(sys: LinearSystem, eta0, T: float, x0=None,
-                           sample_step: Optional[float] = None,
-                           n_steps: int = 2000):
+                           sample_step: Optional[float] = None):
     """Adjoint-driven bang-bang control, its state and adjoint trajectories.
 
     The adjoint is propagated exactly as eta(t)^T = eta(0)^T e^{-tA}; switch
-    times come from the ode module's event localization (then polished on the
-    closed-form switching function); the state starts at x0 (default 0).
+    times are the zeros of the closed-form switching function located by
+    ``_bang.bang_profile``; the state starts at x0 (default 0).
     """
     eta0 = np.asarray(eta0, dtype=float).reshape(-1)
     if eta0.shape != (sys.n,) or np.linalg.norm(eta0) == 0.0:
@@ -127,7 +126,7 @@ def bang_bang_from_adjoint(sys: LinearSystem, eta0, T: float, x0=None,
         raise ValueError("bang-bang synthesis requires control bounds [-1, 1]")
     x0 = np.zeros(sys.n) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
 
-    profile = _bang.bang_profile(sys, eta0, T, n_steps=n_steps)
+    profile = _bang.bang_profile(sys, eta0, T)
     traj = simulate(sys, x0, profile.control, T, max_sample_step=sample_step)
     etas = profile.sampler.eta(traj.times)
     adjoint = Trajectory(traj.times.copy(), etas)
@@ -138,59 +137,16 @@ def bang_bang_from_adjoint(sys: LinearSystem, eta0, T: float, x0=None,
 # fast endpoint evaluation used by the (theta, T) scan refinement
 
 
-def _switch_structure(sys: LinearSystem, decomp, eta0: np.ndarray, T: float):
-    """Per-channel switch times and initial signs from the exact adjoint."""
-    sampler = _bang.AdjointSampler(sys.A, eta0, decomp=decomp)
-    omega = max(1.0, max((abs(w.imag) for w in decomp[0]), default=1.0)) if decomp else None
-    if omega is None:
-        omega = max(1.0, float(np.abs(sys.A).max()) * sys.n)
-    n_nodes = min(20001, max(801, int(16 * T * omega / math.pi) + 1))
-    ts = np.linspace(0.0, T, n_nodes)
-    etas = sampler.eta(ts)                      # (n_nodes, n)
-    G = etas @ sys.B                            # (n_nodes, m)
-
-    channels: List[np.ndarray] = []
-    signs = np.zeros(sys.m)
-    for j in range(sys.m):
-        g = G[:, j]
-        g_scale = max(1.0, float(np.linalg.norm(eta0)))
-        g_max = float(np.abs(g).max())
-        if g_max <= 1e-13 * g_scale:
-            channels.append(np.empty(0))
-            continue
-        s = np.sign(g)
-        idx = np.nonzero(s[:-1] * s[1:] < 0)[0]
-        lo = ts[idx].copy()
-        hi = ts[idx + 1].copy()
-        if len(idx):
-            g_lo = g[idx].copy()
-            Bj = sys.B[:, j]
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                g_mid = sampler.eta(mid) @ Bj
-                left = (g_mid > 0) == (g_lo > 0)
-                lo = np.where(left, mid, lo)
-                g_lo = np.where(left, g_mid, g_lo)
-                hi = np.where(left, hi, mid)
-        zeros = 0.5 * (lo + hi)
-        zeros = zeros[(zeros > 1e-12 * T) & (zeros < T * (1 - 1e-12))]
-        channels.append(zeros)
-        nz = np.nonzero(np.abs(g) > 1e-9 * g_max)[0]
-        signs[j] = np.sign(g[nz[0]]) if len(nz) else 1.0
-    return channels, signs
-
-
 def _fast_endpoint(sys: LinearSystem, decomp, x0: np.ndarray, theta: float,
-                   T: float) -> Tuple[np.ndarray, List[np.ndarray], np.ndarray]:
+                   T: float) -> np.ndarray:
     """Exact endpoint of the theta-adjoint bang-bang control at horizon T."""
     eta0 = np.array([math.cos(theta), math.sin(theta)])
-    channels, signs = _switch_structure(sys, decomp, eta0, T)
-    control = _bang.control_from_channels(T, channels, signs)
+    control = _bang.bang_profile(sys, eta0, T, decomp=decomp).control
     x = x0.copy()
     for a, b, v in zip(control.breakpoints[:-1], control.breakpoints[1:], control.values):
         E, w = _propagators(sys.A, sys.B @ v, b - a)
         x = E @ x + w
-    return x, channels, signs
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +194,7 @@ def solve_tmin(sys: LinearSystem, x0, x1,
     decomp = _bang.adjoint_decomp(sys.A)
 
     def residual(theta: float, T: float) -> np.ndarray:
-        return _fast_endpoint(sys, decomp, x0, theta, T)[0] - x1
+        return _fast_endpoint(sys, decomp, x0, theta, T) - x1
 
     roots: List[Tuple[float, float, float]] = []  # (T, theta, err)
     n_angles, t_grid = opts.n_angles, opts.t_grid
@@ -276,13 +232,10 @@ def solve_tmin(sys: LinearSystem, x0, x1,
     T_star, theta_star, _ = roots[order[0]]
 
     eta0 = np.array([math.cos(theta_star), math.sin(theta_star)])
-    control_sig, traj, adjoint = bang_bang_from_adjoint(
-        sys, eta0, T_star, x0=x0, sample_step=opts.sample_step
-    )
-    profile = _bang.bang_profile(sys, eta0, T_star)
-    merged = np.unique(np.concatenate(profile.channel_switch_times)) \
-        if profile.channel_switch_times else np.empty(0)
-    merged = merged[(merged > 1e-12 * T_star) & (merged < T_star * (1 - 1e-12))]
+    profile = _bang.bang_profile(sys, eta0, T_star, decomp=decomp)
+    traj = simulate(sys, x0, profile.control, T_star, max_sample_step=opts.sample_step)
+    adjoint = Trajectory(traj.times.copy(), profile.sampler.eta(traj.times))
+    merged = np.unique(np.concatenate(profile.channel_switch_times))
     bb = BangBangControl(merged, profile.initial_signs, T_star,
                          channel_switch_times=profile.channel_switch_times)
     err = float(np.linalg.norm(traj.endpoint - x1))

@@ -7,10 +7,9 @@ augmented-matrix exponential, so simulation error reduces to roundoff.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 

@@ -11,20 +11,19 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from . import controllability, kernels, ode
-from .errors import ChatteringError, IntegrationBlowUp, UnreachableTargetError
+from .errors import ChatteringError, UnreachableTargetError
 from .linsys import ControlSignal, LinearSystem
 from .ode import Trajectory
 
 __all__ = [
     "ControlSystem",
     "Extremal",
-    "AugmentedState",
     "LinearizedSystem",
     "BoundaryManifold",
     "SpringParams",
@@ -111,14 +110,6 @@ class ControlSystem:
             object.__setattr__(
                 self, "df0_du",
                 lambda x, u, _j=_fd_jacobian(self.f0, 1, 1): _j(x, u)[0])
-
-
-@dataclass
-class AugmentedState:
-    """State extended with the running cost accumulated from zero."""
-
-    x: np.ndarray
-    x0_cost: float = 0.0
 
 
 @dataclass

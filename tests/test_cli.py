@@ -180,6 +180,8 @@ def test_check_extremal_linear_route(tmp_path):
     rc = main(["--config", cfg, "--out", str(tmp_path), "--quiet"])
     assert rc == 0
     data = json.loads((tmp_path / "report.json").read_text())
+    assert data["state_residual"] <= 1e-6
+    assert data["adjoint_residual"] <= 1e-6
     assert data["max_condition_residual"] <= 1e-6
     assert data["hamiltonian_residual"] <= 1e-4
 

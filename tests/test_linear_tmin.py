@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 import oracles
+from pmpkit._bang import adjoint_decomp, bang_profile
 from pmpkit.controllability import reach_hull
 from pmpkit.errors import UnreachableTargetError
 from pmpkit.linear_tmin import (
     BangBangControl,
     TminOptions,
+    _fast_endpoint,
     bang_bang_from_adjoint,
     local_optimality_probe,
     solve_tmin,
@@ -68,6 +70,32 @@ def test_adjoint_solves_backward_equation():
         t = adjoint.times[k]
         ref = eta0 @ oracles.expm_oracle(OSC.A, -t)
         assert np.allclose(adjoint.states[k], ref, atol=1e-11)
+
+
+def test_switch_on_grid_node_is_kept():
+    # double integrator, eta0 = (cos th, sin th): g(t) = sin th - t cos th,
+    # which is exactly 0 on the node t = 0.5 of the 801-node locator grid
+    A = np.array([[0.0, 1.0], [0.0, 0.0]])
+    di = LinearSystem(A, np.array([[0.0], [1.0]]), np.array([[-1.0, 1.0]]))
+    theta = 0.4636476090008061
+    assert math.sin(theta) == 0.5 * math.cos(theta)
+    x = _fast_endpoint(di, adjoint_decomp(A), np.zeros(2), theta, 2.0)
+    # u = +1 on [0, 0.5], then -1 on [0.5, 2]
+    assert np.allclose(x, [-0.25, -1.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("c", [0.999, 0.99999])
+def test_close_pair_of_zeros_located(c):
+    # rotation plus a constant mode: g(t) = sin t - c, whose zeros asin c and
+    # pi - asin c lie 0.089 and 0.0089 apart (node spacing 2 pi / 800)
+    sys = LinearSystem(np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+                       np.array([[0.0], [1.0], [1.0]]), np.array([[-1.0, 1.0]]))
+    profile = bang_profile(sys, np.array([-1.0, 0.0, -c]), 2.0 * math.pi)
+    want = [math.asin(c), math.pi - math.asin(c)]
+    got = profile.channel_switch_times[0]
+    assert len(got) == 2
+    assert np.abs(got - want).max() < 1e-12
+    assert profile.initial_signs[0] == -1.0
 
 
 # ---------------------------------------------------------------------------
