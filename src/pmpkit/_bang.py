@@ -45,7 +45,7 @@ class AdjointSampler:
     """Evaluates the adjoint eta(t)^T = eta0^T e^{-tA}.
 
     Uses the eigendecomposition of A when it is reliably diagonalizable,
-    falling back to per-time matrix exponentials otherwise.
+    else a closed form of e^{-tA} for n = 2 or one mat_exp per time.
     """
 
     def __init__(self, A: np.ndarray, eta0: np.ndarray, decomp=_AUTO):
@@ -62,6 +62,21 @@ class AdjointSampler:
             phases = np.exp(-np.multiply.outer(t, w))  # (..., n)
             out = (coef * phases) @ Vinv
             return np.real(out)
+        if self.A.shape == (2, 2):
+            # Cayley-Hamilton: N = A - mu I has N^2 = q I, so
+            # e^{-tA} = e^{-mu t} (c(t) I - s(t) N)
+            mu = 0.5 * float(np.trace(self.A))
+            N = self.A - mu * np.eye(2)
+            q = float(N[0, 0] ** 2 + N[0, 1] * N[1, 0])
+            r = math.sqrt(abs(q))
+            if q > 0:
+                c, s = np.cosh(r * t), np.sinh(r * t) / r
+            elif q < 0:
+                c, s = np.cos(r * t), np.sin(r * t) / r
+            else:
+                c, s = np.ones_like(t), t
+            rows = c[..., None] * self.eta0 - s[..., None] * (self.eta0 @ N)
+            return np.exp(-mu * t)[..., None] * rows
         ts = np.atleast_1d(t)
         rows = np.empty((len(ts), len(self.eta0)))
         for i, ti in enumerate(ts):

@@ -281,10 +281,22 @@ def _cmd_reach(cfg: _Cfg, out_dir, meta) -> str:
     return f"K={K} T={T:.6g} certificate_margin={margin:.3e}"
 
 
-def _cmd_tmin_linear(cfg: _Cfg, out_dir, meta) -> str:
+def _parse_tmin_problem(cfg: _Cfg):
+    """(system, x0, x1) of a linear minimal-time config, checked up front."""
     sys_lin = _parse_linear_system(cfg)
-    x0 = cfg.vector("x0")
-    x1 = cfg.vector("x1")
+    try:
+        linear_tmin.check_tmin_system(sys_lin)
+    except ValueError as exc:
+        raise ConfigError(f"{cfg.path}.system", str(exc))
+    x0, x1 = cfg.vector("x0"), cfg.vector("x1")
+    for key, vec in (("x0", x0), ("x1", x1)):
+        if len(vec) != 2:
+            raise ConfigError(f"{cfg.path}.{key}", "expected 2 entries")
+    return sys_lin, x0, x1
+
+
+def _cmd_tmin_linear(cfg: _Cfg, out_dir, meta) -> str:
+    sys_lin, x0, x1 = _parse_tmin_problem(cfg)
     opts = linear_tmin.TminOptions(
         n_angles=cfg.integer("n_angles", default=720, minimum=8),
         t_grid=cfg.integer("t_grid", default=500, minimum=10),
@@ -344,9 +356,7 @@ def _cmd_check_extremal(cfg: _Cfg, out_dir, meta) -> str:
         sol, _ = nonlinear.spring_tmin_shoot(k2, target)
         report = sol.report
     else:
-        sys_lin = _parse_linear_system(cfg)
-        x0 = cfg.vector("x0")
-        x1 = cfg.vector("x1")
+        sys_lin, x0, x1 = _parse_tmin_problem(cfg)
         sol_lin = linear_tmin.solve_tmin(
             sys_lin, x0, x1, linear_tmin.TminOptions(sample_step=_EXTREMAL_SAMPLE_STEP))
         report = _linear_extremal_report(sys_lin, sol_lin)

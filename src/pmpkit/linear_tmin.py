@@ -27,6 +27,7 @@ __all__ = [
     "TminOptions",
     "bang_bang_from_adjoint",
     "solve_tmin",
+    "check_tmin_system",
     "local_optimality_probe",
     "ProbeReport",
 ]
@@ -138,18 +139,51 @@ def bang_bang_from_adjoint(sys: LinearSystem, eta0, T: float, x0=None,
 
 
 def _fast_endpoint(sys: LinearSystem, decomp, x0: np.ndarray, theta: float,
-                   T: float) -> np.ndarray:
-    """Exact endpoint of the theta-adjoint bang-bang control at horizon T."""
-    eta0 = np.array([math.cos(theta), math.sin(theta)])
-    control = _bang.bang_profile(sys, eta0, T, decomp=decomp).control
+                   T: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Endpoint x(T) of the theta-adjoint bang-bang control and its exact
+    Jacobian [dx/dtheta, dx/dT].
+
+    dx/dT = A x(T) + B u(T-).  A switch t_i of channel j, a zero of g_j, moves
+    by dt_i/dtheta = -g_theta / g_t (non-finite where g_t = 0) and shifts x(T)
+    by e^{(T - t_i)A} B_j (u_j^- - u_j^+) per unit time; the propagators of x
+    carry these jumps to T.
+    """
+    c, s = math.cos(theta), math.sin(theta)
+    profile = _bang.bang_profile(sys, np.array([c, s]), T, decomp=decomp)
+    control = profile.control
+    knots = control.breakpoints
+    d_eta = _bang.AdjointSampler(sys.A, np.array([-s, c]), decomp=decomp)
+    AB = sys.A @ sys.B
+    kick = np.zeros((len(knots), sys.n))      # jump of dx/dtheta at each knot
+    for j, ts in enumerate(profile.channel_switch_times):
+        du = 2.0 * profile.initial_signs[j] * (-1.0) ** np.arange(len(ts))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dt = (d_eta.eta(ts) @ sys.B[:, j]) / (profile.sampler.eta(ts) @ AB[:, j])
+        k = np.searchsorted(knots, ts, side="right") - 1
+        np.add.at(kick, k, np.outer(du * dt, sys.B[:, j]))
     x = x0.copy()
-    for a, b, v in zip(control.breakpoints[:-1], control.breakpoints[1:], control.values):
+    dx_dth = np.zeros(sys.n)
+    for k, (a, b, v) in enumerate(zip(knots[:-1], knots[1:], control.values)):
         E, w = _propagators(sys.A, sys.B @ v, b - a)
         x = E @ x + w
-    return x
+        dx_dth = E @ (dx_dth + kick[k])
+    dx_dth += kick[-1]
+    return x, np.column_stack([dx_dth, sys.A @ x + sys.B @ control.values[-1]])
 
 
 # ---------------------------------------------------------------------------
+
+
+def check_tmin_system(sys: LinearSystem) -> None:
+    """Raise ValueError unless solve_tmin accepts sys (planar, unit box, controllable)."""
+    if sys.n != 2:
+        raise ValueError(f"solve_tmin supports planar systems (n = 2) only, got n = {sys.n}")
+    if sys.control_bounds is None or not np.allclose(
+        sys.control_bounds, np.tile([-1.0, 1.0], (sys.m, 1)), atol=1e-12
+    ):
+        raise ValueError("solve_tmin requires control bounds [-1, 1]")
+    if not is_controllable(sys):
+        raise ValueError("solve_tmin requires a controllable pair (A, B)")
 
 
 def solve_tmin(sys: LinearSystem, x0, x1,
@@ -162,18 +196,11 @@ def solve_tmin(sys: LinearSystem, x0, x1,
     smallest-time root (ties broken by smallest theta).
     """
     opts = options or TminOptions()
-    if sys.n != 2:
-        raise ValueError("solve_tmin supports planar systems (n = 2) only")
-    if sys.control_bounds is None or not np.allclose(
-        sys.control_bounds, np.tile([-1.0, 1.0], (sys.m, 1)), atol=1e-12
-    ):
-        raise ValueError("solve_tmin requires control bounds [-1, 1]")
+    check_tmin_system(sys)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     x1 = np.asarray(x1, dtype=float).reshape(-1)
     if x0.shape != (2,) or x1.shape != (2,):
         raise ValueError("x0 and x1 must be 2-vectors")
-    if not is_controllable(sys):
-        raise ValueError("solve_tmin requires a controllable pair (A, B)")
 
     endpoint_tol = opts.endpoint_tol
     if endpoint_tol is None:
@@ -193,16 +220,17 @@ def solve_tmin(sys: LinearSystem, x0, x1,
         T_max = 4.0 * math.pi * (1.0 + float(np.linalg.norm(x0)) + float(np.linalg.norm(x1)))
     decomp = _bang.adjoint_decomp(sys.A)
 
-    def residual(theta: float, T: float) -> np.ndarray:
-        return _fast_endpoint(sys, decomp, x0, theta, T) - x1
+    def residual(theta: float, T: float) -> Tuple[np.ndarray, np.ndarray]:
+        x, J = _fast_endpoint(sys, decomp, x0, theta, T)
+        return x - x1, J
 
     roots: List[Tuple[float, float, float]] = []  # (T, theta, err)
     n_angles, t_grid = opts.n_angles, opts.t_grid
     for round_idx in range(1 + opts.refine_rounds):
-        seeds = _scan_candidates(sys, x0, x1, T_max, n_angles, t_grid)
+        seeds = _scan_candidates(sys, x0, x1, T_max, n_angles, t_grid, opts.max_seeds)
         h_scan = T_max / t_grid
         best_T = math.inf
-        for dist, theta_s, T_s in seeds[: opts.max_seeds]:
+        for dist, theta_s, T_s in seeds:
             if T_s > best_T + max(0.5, 10.0 * h_scan):
                 continue
             sol = _newton2(residual, theta_s, T_s, T_max + h_scan,
@@ -218,8 +246,8 @@ def solve_tmin(sys: LinearSystem, x0, x1,
         t_grid *= 2
 
     if not roots:
-        best = min(_scan_candidates(sys, x0, x1, T_max, n_angles, t_grid),
-                   default=(math.inf, 0.0, 0.0))
+        best = (_scan_candidates(sys, x0, x1, T_max, n_angles, t_grid, 1)
+                or [(math.inf, 0.0, 0.0)])[0]
         raise UnreachableTargetError(
             f"unreachable within horizon T_max={T_max:.6g}; "
             f"closest scan approach {best[0]:.6g}",
@@ -244,8 +272,8 @@ def solve_tmin(sys: LinearSystem, x0, x1,
 
 
 def _scan_candidates(sys: LinearSystem, x0, x1, T_max: float,
-                     n_angles: int, t_grid: int):
-    """Coarse (theta, T) sweep; returns cells sorted by endpoint distance."""
+                     n_angles: int, t_grid: int, count: int):
+    """Coarse (theta, T) sweep; the ``count`` cells closest to x1, by distance."""
     h = T_max / t_grid
     E_h = mat_exp(sys.A, h)
     aug = np.zeros((sys.n + sys.m, sys.n + sys.m))
@@ -285,28 +313,24 @@ def _scan_candidates(sys: LinearSystem, x0, x1, T_max: float,
     qs = np.concatenate([qs, tail])
     ks = np.concatenate([ks, np.full(len(tail), t_grid)])
     dist = D[qs, ks]
-    order = np.lexsort((thetas[qs], ks * h, dist))
+    order = np.lexsort((thetas[qs], ks * h, dist))[:count]
     return [(float(dist[i]), float(thetas[qs[i]]), float(ks[i] * h))
             for i in order]
 
 
 def _newton2(residual, theta: float, T: float, T_cap: float,
              tol: float, max_iter: int):
-    """Damped 2d Newton with finite-difference Jacobian; None on failure."""
+    """Damped 2d Newton on residual(theta, T) -> (r, J), with J the exact
+    Jacobian; None on failure, including a singular or non-finite J."""
     th, t = float(theta), float(T)
-    r = residual(th, t)
+    r, J = residual(th, t)
     err = float(np.linalg.norm(r))
     target = 0.01 * tol
     for _ in range(max_iter):
         if err <= target:
             break
-        d_th = 1e-7
-        d_t = 1e-7 * max(1.0, t)
-        J = np.column_stack([
-            (residual(th + d_th, t) - residual(th - d_th, t)) / (2 * d_th),
-            (residual(th, t + d_t) - residual(th, max(t - d_t, 1e-12))) /
-            (t + d_t - max(t - d_t, 1e-12)),
-        ])
+        if not np.all(np.isfinite(J)):
+            return None
         try:
             step = np.linalg.solve(J, -r)
         except np.linalg.LinAlgError:
@@ -316,10 +340,10 @@ def _newton2(residual, theta: float, T: float, T_cap: float,
         for _ in range(9):
             th_new = th + lam * step[0]
             t_new = min(max(t + lam * step[1], 1e-9), T_cap)
-            r_new = residual(th_new, t_new)
+            r_new, J_new = residual(th_new, t_new)
             err_new = float(np.linalg.norm(r_new))
             if err_new < err:
-                th, t, r, err = th_new, t_new, r_new, err_new
+                th, t, r, J, err = th_new, t_new, r_new, J_new, err_new
                 improved = True
                 break
             lam *= 0.5

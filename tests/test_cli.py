@@ -1,11 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import pmpkit
 from pmpkit.cli import main
 
 OSC_JSON = {"A": [[0, 1], [-1, 0]], "B": [[0], [1]], "bounds": [[-1, 1]]}
@@ -82,6 +84,38 @@ def test_numerical_failure_exit_3(tmp_path, capsys):
     rc = main(["--config", cfg, "--out", str(tmp_path)])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["tmin-linear", "check-extremal"])
+@pytest.mark.parametrize("system, message", [
+    ({"A": [[0, 1, 0], [0, 0, 1], [0, 0, 0]], "B": [[0], [0], [1]], "bounds": [[-1, 1]]},
+     "n = 3"),
+    (dict(OSC_JSON, bounds=[[-2, 2]]), "bounds [-1, 1]"),
+    ({"A": [[0, 0], [0, 0]], "B": [[1], [0]], "bounds": [[-1, 1]]}, "controllable"),
+], ids=["three_state_chain", "bounds_2", "uncontrollable"])
+def test_tmin_system_rejected_as_config_error(tmp_path, capsys, command, system, message):
+    cfg = write_config(tmp_path, "cfg.json", {
+        "command": command,
+        "system": system,
+        "x0": [0.5, 0.0],
+        "x1": [0.0, 0.0],
+    })
+    rc = main(["--config", cfg, "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config.system" in err
+    assert message in err
+
+
+def test_tmin_point_length_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", {
+        "command": "tmin-linear",
+        "system": OSC_JSON,
+        "x0": [0.5, 0.0, 0.0],
+        "x1": [0.0, 0.0],
+    })
+    assert main(["--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config.x0" in capsys.readouterr().err
 
 
 def test_simulate_csv_output(tmp_path, capsys):
@@ -233,8 +267,11 @@ def test_rerun_byte_identical(tmp_path):
 
 
 def test_entry_point_runs():
+    # the child does not inherit pytest's pythonpath setting
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pmpkit.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-m", "pmpkit.cli", "--help"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert out.returncode == 0
     assert "--config" in out.stdout
     assert "CSV columns" in out.stdout

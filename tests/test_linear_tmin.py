@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from pmpkit import _bang
 from pmpkit._bang import adjoint_decomp, bang_profile
 from pmpkit.controllability import reach_hull
 from pmpkit.errors import UnreachableTargetError
@@ -79,7 +80,7 @@ def test_switch_on_grid_node_is_kept():
     di = LinearSystem(A, np.array([[0.0], [1.0]]), np.array([[-1.0, 1.0]]))
     theta = 0.4636476090008061
     assert math.sin(theta) == 0.5 * math.cos(theta)
-    x = _fast_endpoint(di, adjoint_decomp(A), np.zeros(2), theta, 2.0)
+    x, _ = _fast_endpoint(di, adjoint_decomp(A), np.zeros(2), theta, 2.0)
     # u = +1 on [0, 0.5], then -1 on [0.5, 2]
     assert np.allclose(x, [-0.25, -1.0], atol=1e-12)
 
@@ -98,8 +99,63 @@ def test_close_pair_of_zeros_located(c):
     assert profile.initial_signs[0] == -1.0
 
 
+DOUBLE_INTEGRATOR = LinearSystem(np.array([[0.0, 1.0], [0.0, 0.0]]),
+                                 np.array([[0.0], [1.0]]), np.array([[-1.0, 1.0]]))
+
+
+@pytest.mark.parametrize("sys", [
+    OSC,
+    DOUBLE_INTEGRATOR,      # not diagonalizable
+    LinearSystem(np.array([[0.1, 1.0], [-1.5, -0.2]]), np.array([[1.0, 0.3], [0.0, 1.0]]),
+                 np.array([[-1.0, 1.0], [-1.0, 1.0]])),
+], ids=["oscillator", "double_integrator", "two_inputs"])
+def test_fast_endpoint_jacobian_matches_central_differences(sys):
+    decomp = adjoint_decomp(sys.A)
+    x0 = np.array([0.3, -0.2])
+    rng = np.random.default_rng(7)
+    checked = 0
+    while checked < 20:
+        theta, T = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.5, 6.0)
+        eta0 = np.array([math.cos(theta), math.sin(theta)])
+        switches = np.concatenate(bang_profile(sys, eta0, T, decomp=decomp).channel_switch_times)
+        if np.any((switches < 1e-3) | (switches > T - 1e-3)):
+            continue
+        _, J = _fast_endpoint(sys, decomp, x0, theta, T)
+        h = 1e-6
+        fd = np.column_stack([
+            (_fast_endpoint(sys, decomp, x0, theta + h, T)[0]
+             - _fast_endpoint(sys, decomp, x0, theta - h, T)[0]) / (2 * h),
+            (_fast_endpoint(sys, decomp, x0, theta, T + h)[0]
+             - _fast_endpoint(sys, decomp, x0, theta, T - h)[0]) / (2 * h),
+        ])
+        assert np.abs(J - fd).max() <= 1e-7 * (1.0 + np.abs(J).max())
+        checked += 1
+
+
 # ---------------------------------------------------------------------------
 # solve_tmin
+
+
+def test_solve_tmin_profile_count(monkeypatch):
+    # one profile per Newton residual and Jacobian, not five
+    calls = []
+    profile = _bang.bang_profile
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return profile(*args, **kwargs)
+
+    monkeypatch.setattr(_bang, "bang_profile", counted)
+    solve_tmin(OSC, [0.9, -0.4], [0.0, 0.0])
+    assert len(calls) <= 130
+
+
+def test_solve_tmin_double_integrator():
+    # x'' = u from (1, 0) to rest: u = -1 on [0, 1], then +1 on [1, 2]
+    sol = solve_tmin(DOUBLE_INTEGRATOR, [1.0, 0.0], [0.0, 0.0])
+    assert abs(sol.T_star - 2.0) <= 1e-6
+    assert len(sol.control.switch_times) == 1
+    assert abs(sol.control.switch_times[0] - 1.0) <= 1e-6
 
 
 def test_solve_tmin_trivial_case():
