@@ -1,8 +1,12 @@
 """Benchmark the compiled spring kernels against their fallback paths.
 
 Times the dense (alpha, t) scan and the event-accurate single-trajectory
-integrator, once through the numba-compiled implementations and once through
-the pure-numpy/python fallbacks, and prints a small comparison table.
+integrator and prints a small comparison table.  With numba, the scan runs
+through ``spring_scan_jit`` and the numpy ``spring_scan_py``, and the
+integrator's loop ``_integrate_core`` compiled and as plain python
+(``_integrate_core.py_func``), after checking that both agree.  Without
+numba only the path that runs is timed: ``spring_scan_py`` and the plain
+python ``_integrate_core``.
 
 Run from the repository root:
 
@@ -57,17 +61,19 @@ def main():
     def scan_py():
         kernels.spring_scan_py(k2, alphas, h, args.steps)
 
-    def integrate_jit():
-        for a in angles:
-            kernels.spring_integrate_jit(k2, float(a), 5.0, 0.005)
+    def integrate_with(core):
+        switches = np.empty(kernels._MAX_SWITCH)
 
-    def integrate_py():
-        for a in angles:
-            kernels.spring_integrate_py(k2, float(a), 5.0, 0.005)
+        def run():
+            return [core(k2, float(a), 5.0, 0.005, switches) for a in angles]
+        return run
 
     if kernels.HAS_NUMBA:
+        py_core = kernels._integrate_core.py_func
         jit_chk = kernels.spring_scan_jit(k2, alphas[:8], h, args.steps)
-        drift = float(np.abs(jit_chk - ref_scan).max())
+        drift = max(float(np.abs(jit_chk - ref_scan).max()),
+                    float(np.abs(np.subtract(integrate_with(kernels._integrate_core)(),
+                                             integrate_with(py_core)())).max()))
         if drift > 1e-12:
             raise SystemExit(f"jit/fallback disagreement: {drift:.2e}")
         rows.append(("spring_scan",
@@ -76,14 +82,15 @@ def main():
                      best_of(scan_py, args.repeats)))
         rows.append(("spring_integrate",
                      f"{args.integrations} calls",
-                     best_of(integrate_jit, args.repeats),
-                     best_of(integrate_py, max(1, args.repeats // 2))))
+                     best_of(integrate_with(kernels._integrate_core), args.repeats),
+                     best_of(integrate_with(py_core), max(1, args.repeats // 2))))
     else:
-        print("numba unavailable or disabled; timing fallback paths only")
+        print("numba unavailable or disabled; timing the paths that run")
         rows.append(("spring_scan", f"{args.alphas} x {args.steps}",
                      None, best_of(scan_py, args.repeats)))
-        rows.append(("spring_integrate", f"{args.integrations} calls",
-                     None, best_of(integrate_py, max(1, args.repeats // 2))))
+        rows.append(("spring_integrate", f"{args.integrations} calls", None,
+                     best_of(integrate_with(kernels._integrate_core),
+                             max(1, args.repeats // 2))))
 
     print(f"{'kernel':<18} {'workload':<16} {'jit':>10} {'fallback':>10} {'speedup':>9}")
     for name, load, t_jit, t_py in rows:

@@ -1,10 +1,14 @@
-"""Time solve_tmin and count its bang_profile calls on fixed planar problems.
+"""Time the minimal-time solvers and count their residual kernel calls.
 
 The problems are the 40 tmin-linear pool inputs of perfbench's
-oscillator-tmin workload and the double integrator (1, 0) -> 0.  Each is
-solved ``--repeats`` times in this process; the best time is kept.  Prints
-one JSON object with the host block, per-solve seconds and bang_profile
-calls.  Run from the repository root:
+oscillator-tmin workload, the double integrator (1, 0) -> 0, and the 30
+tmin-spring pool inputs of the spring-shooting workload.  Each is solved
+``--repeats`` times in this process; the best time is kept.  solve_tmin is
+counted in bang_profile calls, spring_tmin_shoot in spring_integrate calls.
+The spring pools run in workload order, so the first solve of each k2 fills
+the scan cache and the best time of every solve is a warm one when
+``--repeats`` > 1.  Prints one JSON object with the host block, per-solve
+seconds and calls.  Run from the repository root:
 
     PYTHONPATH=src python3 benchmarks/bench_tmin.py
 
@@ -26,30 +30,40 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import workloads  # noqa: E402
-from pmpkit import _bang, kernels, linear_tmin  # noqa: E402
+from pmpkit import _bang, kernels, linear_tmin, nonlinear  # noqa: E402
 from pmpkit.linsys import LinearSystem  # noqa: E402
 
 
-def solve_stats(system, x0, x1, repeats):
-    """(best seconds, bang_profile calls, T*) of one solve."""
+def solve_stats(module, name, solve, repeats):
+    """(best seconds, calls of module.name per solve, solve result)."""
     calls = [0]
-    profile = _bang.bang_profile
+    counted_fn = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls[0] += 1
-        return profile(*args, **kwargs)
+        return counted_fn(*args, **kwargs)
 
-    _bang.bang_profile = counted
+    setattr(module, name, counted)
     try:
         best = float("inf")
         for _ in range(repeats):
             calls[0] = 0
             start = time.perf_counter()
-            sol = linear_tmin.solve_tmin(system, x0, x1)
+            result = solve()
             best = min(best, time.perf_counter() - start)
     finally:
-        _bang.bang_profile = profile
-    return best, calls[0], sol.T_star
+        setattr(module, name, counted_fn)
+    return best, calls[0], result
+
+
+def pool_block(times, calls, name):
+    return {
+        "solves": len(times),
+        "median_solve_s": round(statistics.median(times), 4),
+        "total_solve_s": round(sum(times), 3),
+        f"{name}_calls": sum(calls),
+        f"{name}_calls_median": statistics.median(calls),
+    }
 
 
 def main():
@@ -66,25 +80,31 @@ def main():
     times, calls = [], []
     for family in workloads.OSC_FAMILIES:
         for item in workloads.pool_candidates("oscillator-tmin", family):
-            t, n, _ = solve_stats(osc, item["config"]["x0"], item["config"]["x1"],
-                                  args.repeats)
+            x0, x1 = item["config"]["x0"], item["config"]["x1"]
+            t, n, _ = solve_stats(_bang, "bang_profile",
+                                  lambda: linear_tmin.solve_tmin(osc, x0, x1), args.repeats)
             times.append(t)
             calls.append(n)
     di = LinearSystem(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]),
                       np.array([[-1.0, 1.0]]))
-    di_s, di_calls, di_T = solve_stats(di, [1.0, 0.0], [0.0, 0.0], 1)
+    di_s, di_calls, di_sol = solve_stats(
+        _bang, "bang_profile", lambda: linear_tmin.solve_tmin(di, [1.0, 0.0], [0.0, 0.0]), 1)
+    spring_times, spring_calls = [], []
+    for k2 in workloads.SPRING_K2:
+        for item in workloads.pool_candidates("spring-shooting", k2):
+            target = item["config"]["target"]
+            t, n, _ = solve_stats(kernels, "spring_integrate",
+                                  lambda: nonlinear.spring_tmin_shoot(k2, target),
+                                  args.repeats)
+            spring_times.append(t)
+            spring_calls.append(n)
     print(json.dumps({
         "host": {"cores": os.cpu_count(), "python": platform.python_version(),
                  "numpy": np.__version__, "has_numba": kernels.HAS_NUMBA},
-        "oscillator_pool": {
-            "solves": len(times),
-            "median_solve_s": round(statistics.median(times), 4),
-            "total_solve_s": round(sum(times), 3),
-            "bang_profile_calls": sum(calls),
-            "bang_profile_calls_median": statistics.median(calls),
-        },
+        "oscillator_pool": pool_block(times, calls, "bang_profile"),
         "double_integrator": {"solve_s": round(di_s, 3), "bang_profile_calls": di_calls,
-                              "T_star": di_T},
+                              "T_star": di_sol.T_star},
+        "spring_pool": pool_block(spring_times, spring_calls, "spring_integrate"),
     }, indent=2))
 
 

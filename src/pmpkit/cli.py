@@ -310,30 +310,34 @@ def _cmd_tmin_linear(cfg: _Cfg, out_dir, meta) -> str:
             f"endpoint_error={sol.endpoint_error:.3e}")
 
 
-def _parse_spring(cfg: _Cfg) -> float:
+def _parse_spring(cfg: _Cfg):
+    """(k2, target) of a spring shooting config."""
     if cfg.has("system"):
         sub = cfg.sub("system")
         name = sub.string("name", default="nonlinear_spring")
         if name not in ("nonlinear_spring", "linear_oscillator"):
             raise ConfigError(f"{sub.path}.name",
                               "expected nonlinear_spring or linear_oscillator")
-        if name == "linear_oscillator":
-            return 0.0
-        return sub.number("k2", default=2.0, minimum=0.0)
-    return cfg.number("k2", default=2.0, minimum=0.0)
-
-
-def _cmd_tmin_spring(cfg: _Cfg, out_dir, meta) -> str:
-    k2 = _parse_spring(cfg)
+        k2 = 0.0 if name == "linear_oscillator" else sub.number("k2", default=2.0, minimum=0.0)
+    else:
+        k2 = cfg.number("k2", default=2.0, minimum=0.0)
     target = cfg.vector("target") if cfg.has("target") else cfg.vector("x0")
     if len(target) != 2:
         raise ConfigError(f"{cfg.path}.target", "expected 2 entries")
-    opts = nonlinear.SpringShootOptions(
+    return k2, target
+
+
+def _spring_options(cfg: _Cfg) -> nonlinear.SpringShootOptions:
+    return nonlinear.SpringShootOptions(
         n_alphas=cfg.integer("n_alphas", default=720, minimum=8),
         n_steps=cfg.integer("n_steps", default=4000, minimum=100),
         t_max=cfg.number("t_max", default=20.0, minimum=0.1),
     )
-    sol, _ext = nonlinear.spring_tmin_shoot(k2, target, options=opts)
+
+
+def _cmd_tmin_spring(cfg: _Cfg, out_dir, meta) -> str:
+    k2, target = _parse_spring(cfg)
+    sol, _ext = nonlinear.spring_tmin_shoot(k2, target, options=_spring_options(cfg))
     payload = sol.to_json_dict()
     payload["p0"] = sol.p0
     payload["report"] = sol.report.to_json_dict()
@@ -351,9 +355,8 @@ _EXTREMAL_SAMPLE_STEP = 0.01
 def _cmd_check_extremal(cfg: _Cfg, out_dir, meta) -> str:
     if cfg.has("target") or (cfg.has("system") and cfg.sub("system").has("name")
                              and "spring" in cfg.sub("system").string("name")):
-        k2 = _parse_spring(cfg)
-        target = cfg.vector("target") if cfg.has("target") else cfg.vector("x0")
-        sol, _ = nonlinear.spring_tmin_shoot(k2, target)
+        k2, target = _parse_spring(cfg)
+        sol, _ = nonlinear.spring_tmin_shoot(k2, target, options=_spring_options(cfg))
         report = sol.report
     else:
         sys_lin, x0, x1 = _parse_tmin_problem(cfg)

@@ -8,13 +8,15 @@ The time-reversed extremal system
     py' = px
 
 is integrated from the origin over a dense (alpha, t) grid during the scan
-and by an event-accurate single-trajectory routine during Newton refinement.
-Both kernels carry numba-compiled implementations with pure-numpy/python
-fallbacks; set PMPKIT_NO_NUMBA=1 to force the fallback path.
+(``spring_scan``) and by an event-accurate single-trajectory routine during
+Newton refinement (``spring_integrate``).
 
-The dispatch names ``spring_scan`` / ``spring_integrate`` point at whichever
-implementation is active; the suffixed variants stay importable for
-benchmarking.
+The loops are written for numba's ``njit``.  Without numba, or with
+PMPKIT_NO_NUMBA=1, the ``njit`` shim returns them unchanged and they run as
+plain python.  ``spring_integrate`` wraps the one loop either way.  The scan
+also has a numpy implementation vectorised over alpha, ``spring_scan_py``,
+which ``spring_scan`` selects without numba; ``spring_scan_jit`` drives the
+loop and stays importable for benchmarking and tests.
 """
 
 from __future__ import annotations
@@ -228,8 +230,12 @@ def _integrate_core(k2, alpha, t_end, h_nom, switches):
     return x, y, px, py, t, n_switch
 
 
-def spring_integrate_jit(k2: float, alpha: float, t_end: float, h_nom: float):
-    """Event-accurate endpoint of the reversed system; compiled path."""
+def spring_integrate(k2: float, alpha: float, t_end: float, h_nom: float):
+    """Event-accurate endpoint of the reversed system from the origin.
+
+    Returns (z = (x, y, px, py), the time reached, switch times, switch
+    count); past ``_MAX_SWITCH`` switches it stops with count -1 and no times.
+    """
     switches = np.empty(_MAX_SWITCH)
     x, y, px, py, t, n_switch = _integrate_core(
         float(k2), float(alpha), float(t_end), float(h_nom), switches
@@ -237,63 +243,7 @@ def spring_integrate_jit(k2: float, alpha: float, t_end: float, h_nom: float):
     return np.array([x, y, px, py]), t, switches[:max(n_switch, 0)].copy(), n_switch
 
 
-def spring_integrate_py(k2: float, alpha: float, t_end: float, h_nom: float):
-    """Event-accurate endpoint of the reversed system; plain-python path."""
-    x = 0.0
-    y = 0.0
-    px = math.sin(alpha)
-    py = math.cos(alpha)
-    s = 1.0 if py > 0 else (-1.0 if py < 0 else (1.0 if px > 0 else -1.0))
-    t = 0.0
-    switches = []
-    eps = 1e-12 * t_end if t_end > 0 else 0.0
-
-    def step(x, y, px, py, s, h):
-        k1 = (-y, x + k2 * x ** 3 - s, -py * (1 + 3 * k2 * x * x), px)
-        x2, y2 = x + 0.5 * h * k1[0], y + 0.5 * h * k1[1]
-        px2, py2 = px + 0.5 * h * k1[2], py + 0.5 * h * k1[3]
-        k2s = (-y2, x2 + k2 * x2 ** 3 - s, -py2 * (1 + 3 * k2 * x2 * x2), px2)
-        x3, y3 = x + 0.5 * h * k2s[0], y + 0.5 * h * k2s[1]
-        px3, py3 = px + 0.5 * h * k2s[2], py + 0.5 * h * k2s[3]
-        k3 = (-y3, x3 + k2 * x3 ** 3 - s, -py3 * (1 + 3 * k2 * x3 * x3), px3)
-        x4, y4 = x + h * k3[0], y + h * k3[1]
-        px4, py4 = px + h * k3[2], py + h * k3[3]
-        k4 = (-y4, x4 + k2 * x4 ** 3 - s, -py4 * (1 + 3 * k2 * x4 * x4), px4)
-        return (x + (h / 6) * (k1[0] + 2 * k2s[0] + 2 * k3[0] + k4[0]),
-                y + (h / 6) * (k1[1] + 2 * k2s[1] + 2 * k3[1] + k4[1]),
-                px + (h / 6) * (k1[2] + 2 * k2s[2] + 2 * k3[2] + k4[2]),
-                py + (h / 6) * (k1[3] + 2 * k2s[3] + 2 * k3[3] + k4[3]))
-
-    while t < t_end - eps:
-        h = h_nom if t + h_nom <= t_end else t_end - t
-        nx, ny, npx, npy = step(x, y, px, py, s, h)
-        if npy * s < 0.0:
-            lo, hi = 0.0, h
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                pym = step(x, y, px, py, s, mid)[3]
-                if pym * s < 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-            nx, ny, npx, npy = step(x, y, px, py, s, hi)
-            t = t + hi
-            switches.append(t)
-            if len(switches) > _MAX_SWITCH:
-                return np.array([x, y, px, py]), t, np.array(switches), -1
-            s = -s
-        else:
-            t = t_end if t_end - (t + h) < eps else t + h
-        x, y, px, py = nx, ny, npx, npy
-    return np.array([x, y, px, py]), t, np.array(switches), len(switches)
-
-
-if HAS_NUMBA:
-    spring_scan = spring_scan_jit
-    spring_integrate = spring_integrate_jit
-else:
-    spring_scan = spring_scan_py
-    spring_integrate = spring_integrate_py
+spring_scan = spring_scan_jit if HAS_NUMBA else spring_scan_py
 
 
 def warm_up() -> None:

@@ -5,6 +5,7 @@ the reachable-set boundary, where the control is u(t) = sign<eta(t), B> for
 some nontrivial adjoint.  For n = 2 the adjoint ray is parameterized by an
 angle, so the solver scans (theta, T) on a coarse grid and refines promising
 cells by damped Newton iteration on the two-component endpoint residual.
+That driver, ``shoot2d``, also solves the nonlinear spring in ``nonlinear``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import _bang
 from .controllability import is_controllable
-from .errors import UnreachableTargetError
+from .errors import ChatteringError, UnreachableTargetError
 from .linsys import ControlSignal, LinearSystem, mat_exp, simulate, _propagators
 from .ode import Trajectory
 
@@ -220,44 +221,16 @@ def solve_tmin(sys: LinearSystem, x0, x1,
         T_max = 4.0 * math.pi * (1.0 + float(np.linalg.norm(x0)) + float(np.linalg.norm(x1)))
     decomp = _bang.adjoint_decomp(sys.A)
 
-    def residual(theta: float, T: float) -> Tuple[np.ndarray, np.ndarray]:
+    def scan(round_idx: int):
+        return _scan_candidates(sys, x0, x1, T_max, opts.n_angles << round_idx,
+                                opts.t_grid << round_idx)
+
+    def residual(theta: float, T: float):
         x, J = _fast_endpoint(sys, decomp, x0, theta, T)
-        return x - x1, J
+        return x - x1, lambda: J
 
-    roots: List[Tuple[float, float, float]] = []  # (T, theta, err)
-    n_angles, t_grid = opts.n_angles, opts.t_grid
-    for round_idx in range(1 + opts.refine_rounds):
-        seeds = _scan_candidates(sys, x0, x1, T_max, n_angles, t_grid, opts.max_seeds)
-        h_scan = T_max / t_grid
-        best_T = math.inf
-        for dist, theta_s, T_s in seeds:
-            if T_s > best_T + max(0.5, 10.0 * h_scan):
-                continue
-            sol = _newton2(residual, theta_s, T_s, T_max + h_scan,
-                           endpoint_tol, opts.max_newton)
-            if sol is None:
-                continue
-            theta_r, T_r, err = sol
-            roots.append((T_r, theta_r % (2.0 * math.pi), err))
-            best_T = min(best_T, T_r)
-        if roots:
-            break
-        n_angles *= 2
-        t_grid *= 2
-
-    if not roots:
-        best = (_scan_candidates(sys, x0, x1, T_max, n_angles, t_grid, 1)
-                or [(math.inf, 0.0, 0.0)])[0]
-        raise UnreachableTargetError(
-            f"unreachable within horizon T_max={T_max:.6g}; "
-            f"closest scan approach {best[0]:.6g}",
-            best_residual=best[0],
-        )
-
-    # smallest T wins; among (numerically) equal T, smallest theta
-    key = [(round(T / 1e-9) * 1e-9, round(th / 1e-9) * 1e-9) for T, th, _ in roots]
-    order = sorted(range(len(roots)), key=lambda i: key[i])
-    T_star, theta_star, _ = roots[order[0]]
+    T_star, theta_star = shoot2d(scan, residual, T_max, endpoint_tol, opts.max_newton,
+                                 opts.max_seeds, opts.refine_rounds)
 
     eta0 = np.array([math.cos(theta_star), math.sin(theta_star)])
     profile = _bang.bang_profile(sys, eta0, T_star, decomp=decomp)
@@ -272,8 +245,9 @@ def solve_tmin(sys: LinearSystem, x0, x1,
 
 
 def _scan_candidates(sys: LinearSystem, x0, x1, T_max: float,
-                     n_angles: int, t_grid: int, count: int):
-    """Coarse (theta, T) sweep; the ``count`` cells closest to x1, by distance."""
+                     n_angles: int, t_grid: int):
+    """Coarse (theta, T) sweep: (D, thetas, h) with D[q, k] = |x(k h) - x1|
+    under the theta_q-adjoint bang-bang control."""
     h = T_max / t_grid
     E_h = mat_exp(sys.A, h)
     aug = np.zeros((sys.n + sys.m, sys.n + sys.m))
@@ -305,30 +279,92 @@ def _scan_candidates(sys: LinearSystem, x0, x1, T_max: float,
     for k in range(t_grid):
         X = X @ E_h.T + U[:, k, :] @ F_h.T
         D[:, k + 1] = np.linalg.norm(X - x1, axis=1)
+    return D, thetas, h
 
+
+# ---------------------------------------------------------------------------
+# 2-D indirect shooting in (adjoint angle, final time), shared with the
+# nonlinear spring solver
+
+
+def nearest_minima(D: np.ndarray, angles: np.ndarray, h: float, count: int):
+    """The ``count`` local minima in time of D[angle, step], as
+    (distance, angle, time) tuples ordered by distance, then time, then angle.
+
+    A minimum is a sample no larger than both time neighbours; the last
+    sample counts when D still falls into it.
+    """
     interior = (D[:, 1:-1] <= D[:, :-2]) & (D[:, 1:-1] <= D[:, 2:])
     qs, ks = np.nonzero(interior)
     ks = ks + 1
     tail = np.nonzero(D[:, -1] < D[:, -2])[0]
     qs = np.concatenate([qs, tail])
-    ks = np.concatenate([ks, np.full(len(tail), t_grid)])
+    ks = np.concatenate([ks, np.full(len(tail), D.shape[1] - 1)])
     dist = D[qs, ks]
-    order = np.lexsort((thetas[qs], ks * h, dist))[:count]
-    return [(float(dist[i]), float(thetas[qs[i]]), float(ks[i] * h))
+    order = np.lexsort((angles[qs], ks * h, dist))[:count]
+    return [(float(dist[i]), float(angles[qs[i]]), float(ks[i] * h))
             for i in order]
+
+
+def shoot2d(scan, residual, t_max: float, tol: float, max_newton: int,
+            max_seeds: int, refine_rounds: int) -> Tuple[float, float]:
+    """Smallest-time root (T, angle in [0, 2 pi)) of a 2-equation shooting
+    residual, ties broken by smallest angle.
+
+    Round r calls scan(r) -> (D, angles, h), a distance table on a grid of
+    step h, and runs ``_newton2`` from its ``max_seeds`` nearest local minima
+    (T capped at t_max + h), skipping seeds later than the best root so far
+    by more than max(0.5, 10 h).  The first round with a root ends the
+    search.  With no root after 1 + refine_rounds rounds, raises
+    UnreachableTargetError carrying the nearest seed of the last round.
+    """
+    roots: List[Tuple[float, float, float]] = []  # (T, angle, err)
+    for round_idx in range(1 + refine_rounds):
+        D, angles, h = scan(round_idx)
+        seeds = nearest_minima(D, angles, h, max_seeds)
+        best_T = math.inf
+        for _, angle_s, T_s in seeds:
+            if T_s > best_T + max(0.5, 10.0 * h):
+                continue
+            try:    # the spring residual raises past its switch cap
+                sol = _newton2(residual, angle_s, T_s, t_max + h, tol, max_newton)
+            except ChatteringError:
+                continue
+            if sol is None:
+                continue
+            angle_r, T_r, err = sol
+            roots.append((T_r, angle_r % (2.0 * math.pi), err))
+            best_T = min(best_T, T_r)
+        if roots:
+            break
+    else:
+        dist, angle, T = seeds[0] if seeds else (math.inf, math.nan, math.nan)
+        raise UnreachableTargetError(
+            f"target not reached within horizon {t_max:.6g}; closest scan "
+            f"approach {dist:.6g} at angle={angle:.6g}, t={T:.6g}",
+            best_residual=dist,
+            best_candidate=(angle, T),
+        )
+
+    # smallest T wins; among (numerically) equal T, smallest angle
+    key = [(round(T / 1e-9) * 1e-9, round(a / 1e-9) * 1e-9) for T, a, _ in roots]
+    T_star, angle_star, _ = roots[min(range(len(roots)), key=lambda i: key[i])]
+    return T_star, angle_star
 
 
 def _newton2(residual, theta: float, T: float, T_cap: float,
              tol: float, max_iter: int):
-    """Damped 2d Newton on residual(theta, T) -> (r, J), with J the exact
-    Jacobian; None on failure, including a singular or non-finite J."""
+    """Damped 2-D Newton on residual(theta, T) -> (r, jacobian), where
+    jacobian() returns the 2x2 Jacobian at that point and is called only at
+    accepted iterates; None on failure, including a singular or non-finite J."""
     th, t = float(theta), float(T)
-    r, J = residual(th, t)
+    r, jac = residual(th, t)
     err = float(np.linalg.norm(r))
     target = 0.01 * tol
     for _ in range(max_iter):
         if err <= target:
             break
+        J = jac()
         if not np.all(np.isfinite(J)):
             return None
         try:
@@ -336,18 +372,16 @@ def _newton2(residual, theta: float, T: float, T_cap: float,
         except np.linalg.LinAlgError:
             return None
         lam = 1.0
-        improved = False
         for _ in range(9):
             th_new = th + lam * step[0]
             t_new = min(max(t + lam * step[1], 1e-9), T_cap)
-            r_new, J_new = residual(th_new, t_new)
+            r_new, jac_new = residual(th_new, t_new)
             err_new = float(np.linalg.norm(r_new))
             if err_new < err:
-                th, t, r, J, err = th_new, t_new, r_new, J_new, err_new
-                improved = True
+                th, t, r, jac, err = th_new, t_new, r_new, jac_new, err_new
                 break
             lam *= 0.5
-        if not improved:
+        else:
             break
     if err <= tol:
         return th, t, err

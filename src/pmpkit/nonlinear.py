@@ -17,7 +17,8 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from . import controllability, kernels, ode
-from .errors import ChatteringError, UnreachableTargetError
+from .errors import ChatteringError
+from .linear_tmin import shoot2d
 from .linsys import ControlSignal, LinearSystem
 from .ode import Trajectory
 
@@ -802,8 +803,8 @@ def spring_tmin_shoot(params: Union[SpringParams, float], target,
     Integrates the time-reversed extremal system from the origin with the
     terminal adjoint parameterized by an angle, scans the (alpha, t) grid for
     states near the requested initial point, refines by damped Newton on the
-    two-component residual, and returns the forward-time solution together
-    with its extremal and a residual report.
+    two-component residual (``linear_tmin.shoot2d``), and returns the
+    forward-time solution together with its extremal and a residual report.
     """
     if isinstance(params, SpringParams):
         if not (abs(params.m_mass - 1.0) <= 1e-12 and abs(params.k1 - 1.0) <= 1e-12
@@ -829,44 +830,26 @@ def spring_tmin_shoot(params: Union[SpringParams, float], target,
 
     h_nom = opts.t_max / opts.n_steps
 
-    def residual(alpha: float, t: float) -> np.ndarray:
+    def scan(round_idx: int):
+        alphas, xy = _scan_states(k2, opts.n_alphas << round_idx, opts.t_max, opts.n_steps)
+        return np.linalg.norm(xy - target, axis=2), alphas, h_nom
+
+    def endpoint(alpha: float, t: float) -> np.ndarray:
         return _reversed_endpoint(k2, alpha, t, h_nom) - target
 
-    roots: List[Tuple[float, float, float]] = []
-    n_alphas, n_steps = opts.n_alphas, opts.n_steps
-    for _ in range(1 + opts.refine_rounds):
-        seeds = _spring_seeds(k2, target, n_alphas, opts.t_max, n_steps)
-        best_T = math.inf
-        h_scan = opts.t_max / n_steps
-        for dist, alpha_s, t_s in seeds[: opts.max_seeds]:
-            if t_s > best_T + max(0.5, 10.0 * h_scan):
-                continue
-            try:
-                sol = _newton2_spring(residual, alpha_s, t_s, opts.t_max,
-                                      tol, opts.max_newton)
-            except ChatteringError:
-                continue
-            if sol is None:
-                continue
-            alpha_r, t_r, err = sol
-            roots.append((t_r, alpha_r % (2.0 * math.pi), err))
-            best_T = min(best_T, t_r)
-        if roots:
-            break
-        n_alphas *= 2
-    if not roots:
-        seeds = _spring_seeds(k2, target, n_alphas, opts.t_max, n_steps)
-        best = seeds[0] if seeds else (math.inf, 0.0, 0.0)
-        raise UnreachableTargetError(
-            f"target not reached within horizon {opts.t_max}; "
-            f"closest approach {best[0]:.6g} at alpha={best[1]:.6g}, t={best[2]:.6g}",
-            best_residual=best[0],
-            best_candidate=(best[1], best[2]),
-        )
+    def residual(alpha: float, t: float):
+        def jacobian():     # central differences, 4 integrations
+            d_a = 1e-7
+            d_t = 1e-7 * max(1.0, t)
+            t_lo = max(t - d_t, 1e-12)
+            return np.column_stack([
+                (endpoint(alpha + d_a, t) - endpoint(alpha - d_a, t)) / (2 * d_a),
+                (endpoint(alpha, t + d_t) - endpoint(alpha, t_lo)) / (t + d_t - t_lo),
+            ])
+        return endpoint(alpha, t), jacobian
 
-    key = [(round(t / 1e-9) * 1e-9, round(a / 1e-9) * 1e-9) for t, a, _ in roots]
-    order = sorted(range(len(roots)), key=lambda i: key[i])
-    t_star, alpha_star, _ = roots[order[0]]
+    t_star, alpha_star = shoot2d(scan, residual, opts.t_max, tol, opts.max_newton,
+                                 opts.max_seeds, opts.refine_rounds)
 
     # authoritative re-integration through the ode event machinery
     n_final = max(800, int(math.ceil(t_star / h_nom)))
@@ -940,67 +923,3 @@ def _trivial_spring_solution(sys: ControlSystem, target: np.ndarray):
         target=target.copy(), p0=-1.0, report=report,
     )
     return solution, ext
-
-
-def _spring_seeds(k2: float, target: np.ndarray, n_alphas: int,
-                  t_max: float, n_steps: int):
-    alphas, xy = _scan_states(k2, n_alphas, t_max, n_steps)
-    D = np.linalg.norm(xy - target, axis=2)  # (Q, n_steps+1)
-    interior = (D[:, 1:-1] <= D[:, :-2]) & (D[:, 1:-1] <= D[:, 2:])
-    qs, ks = np.nonzero(interior)
-    ks = ks + 1
-    tail = np.nonzero(D[:, -1] < D[:, -2])[0]
-    qs = np.concatenate([qs, tail])
-    ks = np.concatenate([ks, np.full(len(tail), n_steps)])
-    h = t_max / n_steps
-    dist = D[qs, ks]
-    order = np.lexsort((alphas[qs], ks * h, dist))
-    return [(float(dist[i]), float(alphas[qs[i]]), float(ks[i] * h))
-            for i in order]
-
-
-def _newton2_spring(residual, alpha: float, t: float, t_cap: float,
-                    tol: float, max_iter: int):
-    a, tt = float(alpha), float(t)
-    r = residual(a, tt)
-    err = float(np.linalg.norm(r))
-    target_err = 0.01 * tol
-    for _ in range(max_iter):
-        if err <= target_err:
-            break
-        d_a = 1e-7
-        d_t = 1e-7 * max(1.0, tt)
-        t_lo = max(tt - d_t, 1e-12)
-        J = np.column_stack([
-            (residual(a + d_a, tt) - residual(a - d_a, tt)) / (2 * d_a),
-            (residual(a, tt + d_t) - residual(a, t_lo)) / (tt + d_t - t_lo),
-        ])
-        # min-norm Gauss-Newton: on no-switch arcs the endpoint depends on
-        # the adjoint angle only through the sign sequence, so the alpha
-        # column vanishes and a square solve would blow up
-        step = np.linalg.lstsq(J, -r, rcond=1e-6)[0]
-        steps = [step]
-        col_t = J[:, 1]
-        denom = float(col_t @ col_t)
-        if denom > 0.0:
-            steps.append(np.array([0.0, -float(col_t @ r) / denom]))
-        improved = False
-        for step in steps:
-            lam = 1.0
-            for _ in range(9):
-                a_new = a + lam * step[0]
-                t_new = min(max(tt + lam * step[1], 1e-9), t_cap)
-                r_new = residual(a_new, t_new)
-                err_new = float(np.linalg.norm(r_new))
-                if err_new < err:
-                    a, tt, r, err = a_new, t_new, r_new, err_new
-                    improved = True
-                    break
-                lam *= 0.5
-            if improved:
-                break
-        if not improved:
-            break
-    if err <= tol:
-        return a, tt, err
-    return None

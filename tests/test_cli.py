@@ -203,6 +203,33 @@ def test_check_extremal_command(tmp_path, capsys):
     assert data["abnormal"] is False
 
 
+def test_check_extremal_spring_reads_solver_fields(tmp_path, capsys):
+    # (1, 0) cannot be brought to rest within t_max = 0.5; a route that
+    # ignored the field would solve with the default horizon 20 and exit 0
+    cfg = write_config(tmp_path, "cfg.json", {
+        "command": "check-extremal",
+        "k2": 2.0,
+        "target": [1.0, 0.0],
+        "t_max": 0.5,
+        "n_alphas": 90,
+        "n_steps": 400,
+    })
+    rc = main(["--config", cfg, "--out", str(tmp_path)])
+    assert rc == 3
+    assert "horizon 0.5" in capsys.readouterr().err
+
+
+def test_check_extremal_spring_target_length(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", {
+        "command": "check-extremal",
+        "k2": 2.0,
+        "target": [1.0, 0.0, 0.0],
+    })
+    rc = main(["--config", cfg, "--out", str(tmp_path)])
+    assert rc == 2
+    assert "config.target" in capsys.readouterr().err
+
+
 def test_check_extremal_linear_route(tmp_path):
     cfg = write_config(tmp_path, "cfg.json", {
         "command": "check-extremal",

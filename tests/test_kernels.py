@@ -5,6 +5,7 @@ import sys
 import numpy as np
 
 from pmpkit import kernels
+from pmpkit.nonlinear import _integrate_reversed_ode
 
 
 def test_scan_variants_agree():
@@ -16,21 +17,25 @@ def test_scan_variants_agree():
 
 
 def test_integrate_variants_agree():
+    # the kernel against the event route through ode.py, which locates the
+    # p_y zeros on its own
     for alpha in [0.3, 1.9, 2.3, 4.4]:
-        zj, tj, swj, nj = kernels.spring_integrate_jit(2.0, alpha, 3.1, 0.005)
-        zp, tp, swp, np_ = kernels.spring_integrate_py(2.0, alpha, 3.1, 0.005)
-        assert nj == np_
-        assert np.abs(np.asarray(zj) - np.asarray(zp)).max() < 1e-12
-        if nj > 0:
-            assert np.abs(np.asarray(swj)[:nj] - np.asarray(swp)[:nj]).max() < 1e-12
+        for tau in [3.1, 6.0]:
+            z, t, sw, n = kernels.spring_integrate(2.0, alpha, tau, 0.005)
+            _, states, switches = _integrate_reversed_ode(2.0, alpha, tau, 0.005)
+            assert t == tau
+            assert n == len(switches)
+            assert np.abs(z - states[-1]).max() < 1e-8
+            if n > 0:
+                assert np.abs(sw - switches).max() < 1e-8
 
 
 def test_integrate_switch_times_are_py_zeros():
     # at a reported switch instant the adjoint component p_y crosses zero
-    z, t, sw, n = kernels.spring_integrate_jit(2.0, 2.4, 6.0, 0.004)
+    z, t, sw, n = kernels.spring_integrate(2.0, 2.4, 6.0, 0.004)
     assert n >= 1
     for k in range(n):
-        zz, _, _, _ = kernels.spring_integrate_jit(2.0, 2.4, float(sw[k]), 0.004)
+        zz, _, _, _ = kernels.spring_integrate(2.0, 2.4, float(sw[k]), 0.004)
         assert abs(zz[3]) < 1e-8
 
 
@@ -40,7 +45,6 @@ def test_env_flag_disables_numba():
         "from pmpkit import kernels\n"
         "assert not kernels.HAS_NUMBA\n"
         "assert kernels.spring_scan is kernels.spring_scan_py\n"
-        "assert kernels.spring_integrate is kernels.spring_integrate_py\n"
         "import numpy as np\n"
         "xy = kernels.spring_scan(2.0, np.array([0.5, 2.0]), 0.01, 200)\n"
         "assert xy.shape == (2, 201, 2)\n"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from pmpkit import _bang
+from pmpkit import _bang, linear_tmin
 from pmpkit._bang import adjoint_decomp, bang_profile
 from pmpkit.controllability import reach_hull
 from pmpkit.errors import UnreachableTargetError
@@ -14,6 +14,7 @@ from pmpkit.linear_tmin import (
     _fast_endpoint,
     bang_bang_from_adjoint,
     local_optimality_probe,
+    nearest_minima,
     solve_tmin,
 )
 from pmpkit.linsys import LinearSystem, simulate
@@ -232,15 +233,42 @@ def test_tie_break_is_deterministic():
                           np.asarray(sol2.control.switch_times))
 
 
-def test_unreachable_target_raises():
-    # controllable but stable: bounded controls cannot push far from origin
+def test_unreachable_target_raises(monkeypatch):
+    # controllable but stable: bounded controls cannot push far from origin.
+    # The failure reports the nearest seed of the last round, without a
+    # further scan on a doubled grid
     A = np.array([[-1.0, 1.0], [0.0, -1.0]])
     sys = LinearSystem(A, np.array([[0.0], [1.0]]), [[-1, 1]])
+    calls = []
+    scan = linear_tmin._scan_candidates
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(linear_tmin, "_scan_candidates", counted)
     with pytest.raises(UnreachableTargetError) as exc:
         solve_tmin(sys, [0.0, 0.0], [5.0, 5.0],
                    options=TminOptions(n_angles=90, t_grid=120, t_max=6.0,
                                        refine_rounds=1))
+    assert len(calls) == 1 + 1
     assert exc.value.best_residual > 1.0
+    theta, T = exc.value.best_candidate
+    assert 0.0 <= theta < 2.0 * math.pi and 0.0 < T <= 6.0
+
+
+def test_nearest_minima_order():
+    # rows are angles, columns time samples h = 0.5 apart
+    D = np.array([
+        [3.0, 2.0, 2.5, 1.0, 1.5],   # minima 2.0 at t = 0.5, 1.0 at t = 1.5
+        [2.0, 1.0, 3.0, 2.0, 1.0],   # minimum 1.0 at t = 0.5, tail 1.0 at t = 2
+        [1.0, 1.0, 2.0, 3.0, 3.0],   # minimum 1.0 at t = 0.5; not t = 0, not a flat tail
+    ])
+    angles = np.array([0.3, 0.2, 0.1])
+    expected = [(1.0, 0.1, 0.5), (1.0, 0.2, 0.5), (1.0, 0.3, 1.5),
+                (1.0, 0.2, 2.0), (2.0, 0.3, 0.5)]
+    assert nearest_minima(D, angles, 0.5, 10) == expected
+    assert nearest_minima(D, angles, 0.5, 2) == expected[:2]
 
 
 def test_uncontrollable_system_rejected():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from pmpkit import kernels, nonlinear
 from pmpkit.errors import UnreachableTargetError
 from pmpkit.linsys import ControlSignal, LinearSystem, simulate
 from pmpkit.nonlinear import (
@@ -396,12 +397,38 @@ def test_spring_solution_json_keys():
     assert set(d) == {"T", "alpha", "switch_times", "endpoint_error"}
 
 
-def test_spring_unreachable_horizon():
-    with pytest.raises(UnreachableTargetError):
+def test_spring_unreachable_horizon(monkeypatch):
+    # the failure reports the nearest seed of the last round, without a
+    # further scan on a doubled grid
+    calls = []
+    scan = nonlinear._scan_states
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(nonlinear, "_scan_states", counted)
+    with pytest.raises(UnreachableTargetError) as exc:
         spring_tmin_shoot(2.0, [40.0, 0.0],
                           options=SpringShootOptions(n_alphas=90, n_steps=400,
                                                      t_max=2.0,
                                                      refine_rounds=1))
+    assert len(calls) == 1 + 1
+    assert exc.value.best_residual > 1.0
+    alpha, t = exc.value.best_candidate
+    assert 0.0 <= alpha < 2.0 * math.pi and 0.0 < t <= 2.0
+
+
+@pytest.mark.parametrize("k2", [0.5, 2.0])
+def test_spring_single_arc_target(k2):
+    # the alpha = 0 extremal does not switch before t = 0.8, so its state
+    # there is reached in T* = 0.8 on one arc, where the endpoint does not
+    # depend on alpha and the alpha column of the shooting Jacobian vanishes
+    z, _, _, n = kernels.spring_integrate(k2, 0.0, 0.8, 0.005)
+    assert n == 0
+    sol, _ = spring_tmin_shoot(k2, z[:2])
+    assert abs(sol.T_star - 0.8) <= 1e-9
+    assert len(sol.switch_times) == 0
 
 
 def test_spring_endpoint_on_state_not_adjoint():
