@@ -1,12 +1,14 @@
 """Benchmark the compiled spring kernels against their fallback paths.
 
 Times the dense (alpha, t) scan and the event-accurate single-trajectory
-integrator and prints a small comparison table.  With numba, the scan runs
-through ``spring_scan_jit`` and the numpy ``spring_scan_py``, and the
-integrator's loop ``_integrate_core`` compiled and as plain python
-(``_integrate_core.py_func``), after checking that both agree.  Without
-numba only the path that runs is timed: ``spring_scan_py`` and the plain
-python ``_integrate_core``.
+integrator and prints a small comparison table, with the cost of one call of
+the path that runs beside the call count.  The integrator's loop carries the
+alpha-tangent of the endpoint, so its per-call cost includes the Jacobian.
+With numba, the scan runs through ``spring_scan_jit`` and the numpy
+``spring_scan_py``, and the integrator's loop ``_integrate_core`` compiled
+and as plain python (``_integrate_core.py_func``), after checking that both
+agree.  Without numba only the path that runs is timed: ``spring_scan_py``
+and the plain python ``_integrate_core``.
 
 Run from the repository root:
 
@@ -77,26 +79,30 @@ def main():
         if drift > 1e-12:
             raise SystemExit(f"jit/fallback disagreement: {drift:.2e}")
         rows.append(("spring_scan",
-                     f"{args.alphas} x {args.steps}",
+                     f"{args.alphas} x {args.steps}", 1,
                      best_of(scan_jit, args.repeats),
                      best_of(scan_py, args.repeats)))
         rows.append(("spring_integrate",
-                     f"{args.integrations} calls",
+                     f"{args.integrations} calls", args.integrations,
                      best_of(integrate_with(kernels._integrate_core), args.repeats),
                      best_of(integrate_with(py_core), max(1, args.repeats // 2))))
     else:
         print("numba unavailable or disabled; timing the paths that run")
-        rows.append(("spring_scan", f"{args.alphas} x {args.steps}",
+        rows.append(("spring_scan", f"{args.alphas} x {args.steps}", 1,
                      None, best_of(scan_py, args.repeats)))
-        rows.append(("spring_integrate", f"{args.integrations} calls", None,
+        rows.append(("spring_integrate", f"{args.integrations} calls",
+                     args.integrations, None,
                      best_of(integrate_with(kernels._integrate_core),
                              max(1, args.repeats // 2))))
 
-    print(f"{'kernel':<18} {'workload':<16} {'jit':>10} {'fallback':>10} {'speedup':>9}")
-    for name, load, t_jit, t_py in rows:
+    print(f"{'kernel':<18} {'workload':<16} {'jit':>10} {'fallback':>10} {'speedup':>9}"
+          f" {'per call':>10}")
+    for name, load, n_calls, t_jit, t_py in rows:
         jit_s = f"{t_jit * 1e3:8.1f}ms" if t_jit is not None else "      --"
         ratio = f"{t_py / t_jit:8.1f}x" if t_jit else "       --"
-        print(f"{name:<18} {load:<16} {jit_s:>10} {t_py * 1e3:8.1f}ms {ratio:>9}")
+        per_call = (t_jit if t_jit is not None else t_py) / n_calls
+        print(f"{name:<18} {load:<16} {jit_s:>10} {t_py * 1e3:8.1f}ms {ratio:>9}"
+              f" {per_call * 1e3:8.3f}ms")
 
 
 if __name__ == "__main__":

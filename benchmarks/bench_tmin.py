@@ -4,7 +4,9 @@ The problems are the 40 tmin-linear pool inputs of perfbench's
 oscillator-tmin workload, the double integrator (1, 0) -> 0, and the 30
 tmin-spring pool inputs of the spring-shooting workload.  Each is solved
 ``--repeats`` times in this process; the best time is kept.  solve_tmin is
-counted in bang_profile calls, spring_tmin_shoot in spring_integrate calls.
+counted in bang_profile calls, spring_tmin_shoot in spring_integrate calls;
+the time spent inside those calls in the best solve gives their per-call
+cost, so fewer but dearer calls show.
 The spring pools run in workload order, so the first solve of each k2 fills
 the scan cache and the best time of every solve is a warm one when
 ``--repeats`` > 1.  Prints one JSON object with the host block, per-solve
@@ -35,34 +37,43 @@ from pmpkit.linsys import LinearSystem  # noqa: E402
 
 
 def solve_stats(module, name, solve, repeats):
-    """(best seconds, calls of module.name per solve, solve result)."""
-    calls = [0]
+    """(best seconds, calls of module.name per solve, seconds spent in those
+    calls during the best solve, solve result)."""
+    calls, spent = [0], [0.0]
     counted_fn = getattr(module, name)
 
     def counted(*args, **kwargs):
-        calls[0] += 1
-        return counted_fn(*args, **kwargs)
+        start = time.perf_counter()
+        try:
+            return counted_fn(*args, **kwargs)
+        finally:
+            calls[0] += 1
+            spent[0] += time.perf_counter() - start
 
     setattr(module, name, counted)
     try:
-        best = float("inf")
+        best, best_spent = float("inf"), 0.0
         for _ in range(repeats):
-            calls[0] = 0
+            calls[0], spent[0] = 0, 0.0
             start = time.perf_counter()
             result = solve()
-            best = min(best, time.perf_counter() - start)
+            elapsed = time.perf_counter() - start
+            if elapsed < best:
+                best, best_spent = elapsed, spent[0]
     finally:
         setattr(module, name, counted_fn)
-    return best, calls[0], result
+    return best, calls[0], best_spent, result
 
 
-def pool_block(times, calls, name):
+def pool_block(times, calls, in_calls, name):
     return {
         "solves": len(times),
         "median_solve_s": round(statistics.median(times), 4),
         "total_solve_s": round(sum(times), 3),
         f"{name}_calls": sum(calls),
         f"{name}_calls_median": statistics.median(calls),
+        f"{name}_s": round(sum(in_calls), 3),
+        f"{name}_per_call_ms": round(1e3 * sum(in_calls) / max(sum(calls), 1), 4),
     }
 
 
@@ -77,34 +88,38 @@ def main():
     # the pool inputs name the built-in "linear_oscillator"
     osc = LinearSystem(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.array([[0.0], [1.0]]),
                        np.array([[-1.0, 1.0]]))
-    times, calls = [], []
+    times, calls, in_calls = [], [], []
     for family in workloads.OSC_FAMILIES:
         for item in workloads.pool_candidates("oscillator-tmin", family):
             x0, x1 = item["config"]["x0"], item["config"]["x1"]
-            t, n, _ = solve_stats(_bang, "bang_profile",
-                                  lambda: linear_tmin.solve_tmin(osc, x0, x1), args.repeats)
+            t, n, t_in, _ = solve_stats(_bang, "bang_profile",
+                                        lambda: linear_tmin.solve_tmin(osc, x0, x1),
+                                        args.repeats)
             times.append(t)
             calls.append(n)
+            in_calls.append(t_in)
     di = LinearSystem(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]),
                       np.array([[-1.0, 1.0]]))
-    di_s, di_calls, di_sol = solve_stats(
+    di_s, di_calls, _, di_sol = solve_stats(
         _bang, "bang_profile", lambda: linear_tmin.solve_tmin(di, [1.0, 0.0], [0.0, 0.0]), 1)
-    spring_times, spring_calls = [], []
+    spring_times, spring_calls, spring_in_calls = [], [], []
     for k2 in workloads.SPRING_K2:
         for item in workloads.pool_candidates("spring-shooting", k2):
             target = item["config"]["target"]
-            t, n, _ = solve_stats(kernels, "spring_integrate",
-                                  lambda: nonlinear.spring_tmin_shoot(k2, target),
-                                  args.repeats)
+            t, n, t_in, _ = solve_stats(kernels, "spring_integrate",
+                                        lambda: nonlinear.spring_tmin_shoot(k2, target),
+                                        args.repeats)
             spring_times.append(t)
             spring_calls.append(n)
+            spring_in_calls.append(t_in)
     print(json.dumps({
         "host": {"cores": os.cpu_count(), "python": platform.python_version(),
                  "numpy": np.__version__, "has_numba": kernels.HAS_NUMBA},
-        "oscillator_pool": pool_block(times, calls, "bang_profile"),
+        "oscillator_pool": pool_block(times, calls, in_calls, "bang_profile"),
         "double_integrator": {"solve_s": round(di_s, 3), "bang_profile_calls": di_calls,
                               "T_star": di_sol.T_star},
-        "spring_pool": pool_block(spring_times, spring_calls, "spring_integrate"),
+        "spring_pool": pool_block(spring_times, spring_calls, spring_in_calls,
+                                  "spring_integrate"),
     }, indent=2))
 
 

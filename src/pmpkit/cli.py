@@ -447,8 +447,6 @@ def run(config: dict, out_dir: Optional[str] = None,
         if command not in _COMMANDS:
             raise ConfigError("config.command",
                               f"unknown command; expected one of {list(_COMMANDS)}")
-        if seed is not None:
-            np.random.seed(seed % (2 ** 32))
         meta = _meta(config, seed)
         summary = _HANDLERS[command](cfg, out_dir, meta)
     except ConfigError as exc:
@@ -475,7 +473,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--out", default=None,
                         help="directory for output files (default: cwd)")
     parser.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized sub-tasks")
+                        help="recorded in the output metadata only; no "
+                             "command draws random numbers")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress the one-line summary")
     args = parser.parse_args(argv)

@@ -78,7 +78,8 @@ class ControlSystem:
 
     ``omega`` is an (m, 2) box per channel or None for an unbounded control
     set.  Missing Jacobians fall back to central differences with step
-    1e-6 * (1 + |x_i|).
+    1e-6 * (1 + |x_i|).  ``control_affine`` declares f and f0 affine in u, so
+    that the Hamiltonian's maximum over the box lies at a vertex.
     """
 
     n: int
@@ -90,6 +91,7 @@ class ControlSystem:
     df0_dx: Optional[Callable] = None
     df0_du: Optional[Callable] = None
     omega: Optional[np.ndarray] = None
+    control_affine: bool = False
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
@@ -219,6 +221,7 @@ def _spring_system(k2: float) -> ControlSystem:
         df0_dx=lambda x, u: np.zeros(2),
         df0_du=lambda x, u: np.zeros(1),
         omega=np.array([[-1.0, 1.0]]),
+        control_affine=True,
     )
 
 
@@ -247,6 +250,7 @@ def from_linear(sys: LinearSystem, time_cost: bool = True) -> ControlSystem:
         df0_dx=lambda x, u: np.zeros(sys.n),
         df0_du=lambda x, u: np.zeros(sys.m),
         omega=None if sys.control_bounds is None else sys.control_bounds.copy(),
+        control_affine=True,
     )
 
 
@@ -527,11 +531,15 @@ class ExtremalReport:
 
 def _control_candidates(sys: ControlSystem, x, p, p0: float, u_now: np.ndarray):
     """Hamiltonian-maximizing candidates over a box: vertices plus any
-    interior stationary points found by per-channel sign bracketing."""
+    interior stationary points found by per-channel sign bracketing.  For a
+    control-affine system dH/du does not depend on u, so the bracketing
+    cannot find a sign change and is skipped."""
     om = sys.omega
     candidates = [np.asarray(u_now, dtype=float)]
     for vertex in itertools.product(*[(om[j, 0], om[j, 1]) for j in range(sys.m)]):
         candidates.append(np.array(vertex))
+    if sys.control_affine:
+        return candidates
     for j in range(sys.m):
         lo, hi = om[j]
         grid = np.linspace(lo, hi, 17)
@@ -543,6 +551,7 @@ def _control_candidates(sys: ControlSystem, x, p, p0: float, u_now: np.ndarray):
 
         vals = np.array([phi(v) for v in grid])
         signs = np.sign(vals)
+        roots = list(grid[vals == 0.0])     # stationary points on a node
         for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
             a, b = grid[i], grid[i + 1]
             fa = vals[i]
@@ -556,8 +565,10 @@ def _control_candidates(sys: ControlSystem, x, p, p0: float, u_now: np.ndarray):
                     a, fa = mid, fm
                 else:
                     b = mid
+            roots.append(0.5 * (a + b))
+        for root in roots:
             u_try = np.asarray(u_now, dtype=float).copy()
-            u_try[j] = 0.5 * (a + b)
+            u_try[j] = root
             candidates.append(u_try)
     return candidates
 
@@ -740,11 +751,12 @@ def _scan_states(k2: float, n_alphas: int, t_max: float, n_steps: int):
     return _SCAN_CACHE[key]
 
 
-def _reversed_endpoint(k2: float, alpha: float, t: float, h_nom: float) -> np.ndarray:
-    z, _, _, n_switch = kernels.spring_integrate(k2, alpha, t, h_nom)
+def _reversed_endpoint(k2: float, alpha: float, t: float, h_nom: float):
+    """(x, y) of the reversed flow at time t and its 2x2 Jacobian in (alpha, t)."""
+    z, _, _, n_switch, J = kernels.spring_integrate(k2, alpha, t, h_nom)
     if n_switch < 0:
         raise ChatteringError("switching cap exceeded in reversed-spring integration")
-    return z[:2]
+    return z[:2], J[:2]
 
 
 def _integrate_reversed_ode(k2: float, alpha: float, t_end: float, h_nom: float):
@@ -832,21 +844,18 @@ def spring_tmin_shoot(params: Union[SpringParams, float], target,
 
     def scan(round_idx: int):
         alphas, xy = _scan_states(k2, opts.n_alphas << round_idx, opts.t_max, opts.n_steps)
-        return np.linalg.norm(xy - target, axis=2), alphas, h_nom
-
-    def endpoint(alpha: float, t: float) -> np.ndarray:
-        return _reversed_endpoint(k2, alpha, t, h_nom) - target
+        # squares summed in place, without an (alphas, steps, 2) temporary;
+        # bit-identical to np.linalg.norm(xy - target, axis=2)
+        D = xy[..., 0] - target[0]
+        D *= D
+        dy2 = xy[..., 1] - target[1]
+        dy2 *= dy2
+        D += dy2
+        return np.sqrt(D, out=D), alphas, h_nom
 
     def residual(alpha: float, t: float):
-        def jacobian():     # central differences, 4 integrations
-            d_a = 1e-7
-            d_t = 1e-7 * max(1.0, t)
-            t_lo = max(t - d_t, 1e-12)
-            return np.column_stack([
-                (endpoint(alpha + d_a, t) - endpoint(alpha - d_a, t)) / (2 * d_a),
-                (endpoint(alpha, t + d_t) - endpoint(alpha, t_lo)) / (t + d_t - t_lo),
-            ])
-        return endpoint(alpha, t), jacobian
+        xy, J = _reversed_endpoint(k2, alpha, t, h_nom)
+        return xy - target, lambda: J
 
     t_star, alpha_star = shoot2d(scan, residual, opts.t_max, tol, opts.max_newton,
                                  opts.max_seeds, opts.refine_rounds)

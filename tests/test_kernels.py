@@ -3,7 +3,9 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
+import pmpkit
 from pmpkit import kernels
 from pmpkit.nonlinear import _integrate_reversed_ode
 
@@ -21,7 +23,7 @@ def test_integrate_variants_agree():
     # p_y zeros on its own
     for alpha in [0.3, 1.9, 2.3, 4.4]:
         for tau in [3.1, 6.0]:
-            z, t, sw, n = kernels.spring_integrate(2.0, alpha, tau, 0.005)
+            z, t, sw, n, _ = kernels.spring_integrate(2.0, alpha, tau, 0.005)
             _, states, switches = _integrate_reversed_ode(2.0, alpha, tau, 0.005)
             assert t == tau
             assert n == len(switches)
@@ -32,15 +34,43 @@ def test_integrate_variants_agree():
 
 def test_integrate_switch_times_are_py_zeros():
     # at a reported switch instant the adjoint component p_y crosses zero
-    z, t, sw, n = kernels.spring_integrate(2.0, 2.4, 6.0, 0.004)
+    z, t, sw, n, _ = kernels.spring_integrate(2.0, 2.4, 6.0, 0.004)
     assert n >= 1
     for k in range(n):
-        zz, _, _, _ = kernels.spring_integrate(2.0, 2.4, float(sw[k]), 0.004)
+        zz, _, _, _, _ = kernels.spring_integrate(2.0, 2.4, float(sw[k]), 0.004)
         assert abs(zz[3]) < 1e-8
 
 
+@pytest.mark.parametrize("k2", [0.5, 2.0])
+@pytest.mark.parametrize("alpha, t_end, switches", [
+    (1.0, 1.7, 0), (0.3, 0.5, 0),
+    (2.4, 1.7, 1), (1.9, 0.5, 1),
+    (2.3, 6.0, 2), (1.9, 3.1, 2),
+])
+def test_integrate_jacobian_matches_central_differences(k2, alpha, t_end, switches):
+    # J = [dz/dalpha, dz/dt_end] against central differences of the endpoint;
+    # switches = 2 stands for two or more
+    _, _, sw, n, J = kernels.spring_integrate(k2, alpha, t_end, 0.005)
+    assert J.shape == (4, 2)
+    assert min(n, 2) == switches
+    assert all(1e-3 <= s <= t_end - 1e-3 for s in sw)
+    d = 1e-6
+
+    def endpoint(a, t):
+        return kernels.spring_integrate(k2, a, t, 0.005)[0]
+
+    J_fd = np.column_stack([
+        (endpoint(alpha + d, t_end) - endpoint(alpha - d, t_end)) / (2 * d),
+        (endpoint(alpha, t_end + d) - endpoint(alpha, t_end - d)) / (2 * d),
+    ])
+    assert np.abs(J - J_fd).max() <= 1e-6 * np.abs(J_fd).max()
+
+
 def test_env_flag_disables_numba():
-    env = dict(os.environ, PMPKIT_NO_NUMBA="1")
+    # the child does not inherit pytest's pythonpath setting
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pmpkit.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PMPKIT_NO_NUMBA="1", PYTHONPATH=path)
     code = (
         "from pmpkit import kernels\n"
         "assert not kernels.HAS_NUMBA\n"

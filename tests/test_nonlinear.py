@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -263,6 +264,45 @@ def test_check_extremal_flipped_control_fails():
     assert report.max_condition_residual > 0.1
 
 
+def test_check_extremal_affine_flag_keeps_report():
+    # on a control-affine system the vertex-only maximum gives the same
+    # report as the scan with bisection
+    sys = make_system("linear_oscillator")
+    assert sys.control_affine
+    ext = analytic_oscillator_extremal()
+    flipped = Extremal(ext.trajectory, ext.adjoint, ext.p0,
+                       ControlSignal([0.0, 2.0], [[1.0]]), "free-time")
+    general = dataclasses.replace(sys, control_affine=False)
+    for e in (ext, flipped):
+        assert check_extremal(sys, e) == check_extremal(general, e)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.3])
+def test_check_extremal_interior_maximiser(p):
+    # x' = u with cost 1 + u^2/2 on [-1, 1]: with p0 = -1, H = p u - 1 - u^2/2
+    # peaks at the interior point u = p, so the vertex control u = 1 misses
+    # the maximum by H(p) - H(1) = (1 - p)^2 / 2; u = 1/2 is a node of the
+    # 17-point scan, u = 0.3 is found by bisection
+    sys = ControlSystem(
+        n=1, m=1,
+        f=lambda x, u: np.array([u[0]]),
+        f0=lambda x, u: 1.0 + 0.5 * u[0] ** 2,
+        df_dx=lambda x, u: np.zeros((1, 1)),
+        df_du=lambda x, u: np.ones((1, 1)),
+        df0_dx=lambda x, u: np.zeros(1),
+        df0_du=lambda x, u: np.array([u[0]]),
+        omega=np.array([[-1.0, 1.0]]),
+    )
+    assert not sys.control_affine
+    times = np.linspace(0.0, 1.0, 11)
+    ext = Extremal(Trajectory(times, times.reshape(-1, 1)),
+                   Trajectory(times.copy(), np.full((11, 1), p)),
+                   -1.0, ControlSignal([0.0, 1.0], [[1.0]]), "fixed-time")
+    report = check_extremal(sys, ext)
+    assert report.max_condition_residual > 0
+    assert abs(report.max_condition_residual - 0.5 * (1.0 - p) ** 2) <= 1e-9
+
+
 def test_check_extremal_fixed_time_uses_constancy():
     sys = make_system("linear_oscillator")
     ext = analytic_oscillator_extremal()
@@ -424,11 +464,28 @@ def test_spring_single_arc_target(k2):
     # the alpha = 0 extremal does not switch before t = 0.8, so its state
     # there is reached in T* = 0.8 on one arc, where the endpoint does not
     # depend on alpha and the alpha column of the shooting Jacobian vanishes
-    z, _, _, n = kernels.spring_integrate(k2, 0.0, 0.8, 0.005)
+    z, _, _, n, _ = kernels.spring_integrate(k2, 0.0, 0.8, 0.005)
     assert n == 0
     sol, _ = spring_tmin_shoot(k2, z[:2])
     assert abs(sol.T_star - 0.8) <= 1e-9
     assert len(sol.switch_times) == 0
+
+
+def test_spring_solve_integration_count(monkeypatch):
+    # Newton takes its Jacobian from the integration it runs anyway: 50
+    # spring_integrate calls in this warm solve, against 202 with the
+    # central-difference Jacobian (4 more integrations per iterate)
+    spring_tmin_shoot(2.0, (0.5, -0.3))
+    calls = []
+    integrate = kernels.spring_integrate
+
+    def counted(*args):
+        calls.append(1)
+        return integrate(*args)
+
+    monkeypatch.setattr(kernels, "spring_integrate", counted)
+    spring_tmin_shoot(2.0, (0.5, -0.3))
+    assert 0 < len(calls) <= 202 // 2
 
 
 def test_spring_endpoint_on_state_not_adjoint():
