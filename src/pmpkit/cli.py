@@ -114,12 +114,11 @@ class _Cfg:
         return val
 
 
+# the linear built-ins are the registry systems that are linear; each is
+# its linearization at the origin
 _BUILTIN_LINEAR = {
-    "linear_oscillator": lambda: LinearSystem(
-        np.array([[0.0, 1.0], [-1.0, 0.0]]),
-        np.array([[0.0], [1.0]]),
-        np.array([[-1.0, 1.0]]),
-    ),
+    "linear_oscillator": lambda: nonlinear.equilibrium_linearization(
+        nonlinear.make_system("linear_oscillator")),
 }
 
 
@@ -137,22 +136,34 @@ def _parse_linear_system(cfg: _Cfg) -> LinearSystem:
         raise ConfigError(sub.path, f"invalid linear system: {exc}")
 
 
-def _parse_control(cfg: _Cfg, key: str, m: int, T: float) -> ControlSignal:
+def _parse_control(cfg: _Cfg, key: str, m: int, T: float,
+                   bounds: Optional[np.ndarray] = None) -> ControlSignal:
+    """An m-channel piecewise-constant control defined on [0, T]; with
+    ``bounds``, every value must also lie in the control box."""
     sub = cfg.sub(key)
-    if sub.has("constant"):
-        value = sub.vector("constant")
-        if len(value) != m:
-            raise ConfigError(f"{sub.path}.constant", f"expected {m} entries")
-        return ControlSignal.constant(value, T)
-    breakpoints = sub.vector("breakpoints")
-    values = sub.raw("values")
+    field = "constant" if sub.has("constant") else "values"
     try:
-        vals = np.asarray(values, dtype=float)
-        if vals.ndim == 1:
-            vals = vals.reshape(-1, 1)
-        return ControlSignal(breakpoints, vals)
+        if sub.has("constant"):
+            u = ControlSignal.constant(sub.vector("constant"), T)
+        else:
+            u = ControlSignal(sub.vector("breakpoints"),
+                              np.asarray(sub.require("values"), dtype=float))
     except (TypeError, ValueError) as exc:
         raise ConfigError(sub.path, f"invalid control signal: {exc}")
+    if u.m != m:
+        raise ConfigError(f"{sub.path}.{field}",
+                          f"expected {m} control channel(s), got {u.m}")
+    # the slack of linsys.simulate's own check
+    span = max(T, 1.0)
+    if u.t0 > 1e-12 * span or u.t1 < T - 1e-12 * span:
+        raise ConfigError(f"{sub.path}.breakpoints", f"must cover [0, T] = [0, {T:g}]")
+    if bounds is not None:
+        outside = (u.values < bounds[:, 0] - 1e-12) | (u.values > bounds[:, 1] + 1e-12)
+        if outside.any():
+            k = int(np.flatnonzero(outside.any(axis=1))[0])
+            raise ConfigError(f"{sub.path}.{field}",
+                              f"value {k} outside the control bounds {bounds.tolist()}")
+    return u
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -244,7 +255,7 @@ def _cmd_simulate(cfg: _Cfg, out_dir, meta) -> str:
     if len(x0) != sys_lin.n:
         raise ConfigError(f"{cfg.path}.x0", f"expected {sys_lin.n} entries")
     T = cfg.number("T", minimum=0.0)
-    u = _parse_control(cfg, "control", sys_lin.m, T)
+    u = _parse_control(cfg, "control", sys_lin.m, T, sys_lin.control_bounds)
     step = cfg.number("max_sample_step", default=T / 400 if T > 0 else 1.0)
     traj = simulate(sys_lin, x0, u, T, max_sample_step=step)
     _write_trajectory_csv(_resolve_out(cfg, out_dir, "trajectory.csv"),

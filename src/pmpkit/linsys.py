@@ -128,11 +128,12 @@ class ControlSignal:
         v = np.atleast_1d(np.asarray(value, dtype=float))
         return cls(np.array([t0, t1]), v.reshape(1, -1))
 
-    def evaluate(self, t: float) -> np.ndarray:
-        """Right-continuous evaluation; the final value extends to t1."""
-        idx = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
-        idx = min(max(idx, 0), len(self.values) - 1)
-        return self.values[idx]
+    def evaluate(self, t) -> np.ndarray:
+        """Right-continuous evaluation; the first value extends before t0 and
+        the final value beyond t1.  An array of times gives one row each."""
+        # searching the interior knots counts the intervals that start at or
+        # before t, which is already the clamped interval index
+        return self.values[np.searchsorted(self.breakpoints[1:-1], t, side="right")]
 
     @staticmethod
     def linear_combination(a: float, u1: "ControlSignal",
@@ -147,7 +148,7 @@ class ControlSignal:
         keep = np.concatenate(([True], np.diff(knots) > 1e-15 * span))
         knots = knots[keep]
         mids = 0.5 * (knots[:-1] + knots[1:])
-        vals = np.array([a * u1.evaluate(s) + b * u2.evaluate(s) for s in mids])
+        vals = a * u1.evaluate(mids) + b * u2.evaluate(mids)
         return ControlSignal(knots, vals)
 
 

@@ -40,6 +40,7 @@ __all__ = [
     "io_differential_mpath",
     "singularity_test",
     "local_controllability",
+    "equilibrium_linearization",
     "check_extremal",
     "spring_tmin_shoot",
     "make_system",
@@ -267,12 +268,48 @@ def _node_times(T: float, breakpoints: np.ndarray, n_steps: int) -> np.ndarray:
             knots.append(float(s))
     knots.append(T)
     knots = np.unique(knots)
-    nodes = [0.0]
+    nodes = [np.zeros(1)]
     for a, b in zip(knots[:-1], knots[1:]):
         n_sub = max(1, int(math.ceil((b - a) / h_target - 1e-12)))
-        for i in range(1, n_sub + 1):
-            nodes.append(b if i == n_sub else a + (b - a) * i / n_sub)
-    return np.array(nodes)
+        nodes += [a + (b - a) * np.arange(1, n_sub) / n_sub, [b]]
+    return np.concatenate(nodes)
+
+
+def _reference_pass(sys: ControlSystem, x0: np.ndarray, times: np.ndarray,
+                    cell_u: np.ndarray):
+    """Classical RK4 of x' = f(x, u) over the nodes ``times``, holding the
+    control ``cell_u[k]`` on cell k.
+
+    Returns the node states (N, n), the inner stage states x + h/2 k1,
+    x + h/2 k2 and x + h k3 of every step (N - 1, 3, n), and the index of
+    the step after which the state first became non-finite (None if it
+    never did); the arrays then end with that step.  The stage arithmetic
+    is that of ``ode.rk4_step``, so the states match it bit for bit.
+    """
+    f = sys.f
+    N = len(times)
+    xs = np.empty((N, len(x0)))
+    stages = np.empty((N - 1, 3, len(x0)))
+    xs[0] = x = x0
+    for k, h in enumerate(np.diff(times).tolist()):
+        v = cell_u[k]
+        S = stages[k]
+        k1 = np.asarray(f(x, v), dtype=float)
+        S[0] = x + 0.5 * h * k1
+        k2 = np.asarray(f(S[0], v), dtype=float)
+        S[1] = x + 0.5 * h * k2
+        k3 = np.asarray(f(S[1], v), dtype=float)
+        S[2] = x + h * k3
+        k4 = np.asarray(f(S[2], v), dtype=float)
+        xs[k + 1] = x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(x).all():
+            return xs[:k + 2], stages[:k + 1], k
+    return xs, stages, None
+
+
+def _cell_controls(u: ControlSignal, times: np.ndarray) -> np.ndarray:
+    """The control held on each cell [times[k], times[k + 1]]."""
+    return u.evaluate(0.5 * (times[:-1] + times[1:]))
 
 
 def simulate_nonlinear(sys: ControlSystem, x0, u: ControlSignal, T: float,
@@ -284,14 +321,10 @@ def simulate_nonlinear(sys: ControlSystem, x0, u: ControlSignal, T: float,
     if T <= 0:
         return Trajectory(np.array([0.0]), x0.reshape(1, -1))
     times = _node_times(T, u.breakpoints, n_steps)
-    states = np.empty((len(times), sys.n))
-    states[0] = x0
-    x = x0.copy()
-    for k in range(len(times) - 1):
-        h = times[k + 1] - times[k]
-        v = u.evaluate(0.5 * (times[k] + times[k + 1]))
-        x = ode.rk4_step(lambda t, xx, vv=v: sys.f(xx, vv), times[k], x, h)
-        states[k + 1] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        states, _, blown = _reference_pass(sys, x0, times, _cell_controls(u, times))
+    if blown is not None:
+        raise ode.blowup_error(times[blown])
     return Trajectory(times, states)
 
 
@@ -315,40 +348,49 @@ class LinearizedSystem:
 
 def linearize(sys: ControlSystem, u_ref: ControlSignal, x0, T: float,
               n_steps: int = 4000) -> LinearizedSystem:
-    """Integrate the reference trajectory jointly with M' = A(t) M, M(0) = I."""
+    """Linearize along the RK4 reference trajectory from x0 under u_ref.
+
+    A(t) = df/dx and B(t) = df/du are sampled at the nodes with the
+    right-continuous control.  The fundamental matrix M' = A(t) M, M(0) = I,
+    is the RK4 of the variational equation at the reference's stage states:
+    each step's propagator Phi = I + h/6 (K1 + 2 K2 + 2 K3 + K4), with
+    K1 = A1, K2 = A2 (I + h/2 K1), K3 = A3 (I + h/2 K2), K4 = A4 (I + h K3),
+    is formed for all steps at once, and M(t_{k+1}) = Phi_k M(t_k).  This is
+    the joint RK4 of (x, M) with the M stages regrouped, so x is the same and
+    M differs from it by roundoff only.
+    """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     times = _node_times(T, u_ref.breakpoints, n_steps)
-    n = sys.n
-    N = len(times)
-    At = np.empty((N, n, n))
-    Bt = np.empty((N, n, sys.m))
-    M = np.empty((N, n, n))
-    xs = np.empty((N, n))
-    x = x0.copy()
-    Mk = np.eye(n)
-    for k in range(N):
-        u_k = u_ref.evaluate(times[k]) if times[k] < T else u_ref.evaluate(T)
-        xs[k] = x
-        M[k] = Mk
-        At[k] = sys.df_dx(x, u_k)
-        Bt[k] = np.asarray(sys.df_du(x, u_k), dtype=float).reshape(n, sys.m)
-        if k == N - 1:
-            break
-        h = times[k + 1] - times[k]
-        v = u_ref.evaluate(0.5 * (times[k] + times[k + 1]))
-        z = np.concatenate([x, Mk.reshape(-1)])
-
-        def rhs(t, zz, vv=v):
-            xx = zz[:n]
-            MM = zz[n:].reshape(n, n)
-            return np.concatenate([
-                np.asarray(sys.f(xx, vv), dtype=float),
-                (np.asarray(sys.df_dx(xx, vv), dtype=float) @ MM).reshape(-1),
-            ])
-
-        z = ode.rk4_step(rhs, times[k], z, h)
-        x = z[:n]
-        Mk = z[n:].reshape(n, n)
+    n, m = sys.n, sys.m
+    cell_u = _cell_controls(u_ref, times)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs, stages, blown = _reference_pass(sys, x0, times, cell_u)
+        df_dx = sys.df_dx
+        points = np.concatenate([xs[:len(stages), None], stages], axis=1)
+        A = np.array([[df_dx(p, v) for p in P] for P, v in zip(points, cell_u)],
+                     dtype=float).reshape(len(stages), 4, n, n)
+        h = np.diff(times)[:len(stages), None, None]
+        eye = np.eye(n)
+        K1 = A[:, 0]
+        K2 = A[:, 1] @ (eye + 0.5 * h * K1)
+        K3 = A[:, 2] @ (eye + 0.5 * h * K2)
+        K4 = A[:, 3] @ (eye + h * K3)
+        Phi = eye + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+        M = np.empty((len(xs), n, n))
+        M[0] = eye
+        for k in range(len(stages)):
+            np.matmul(Phi[k], M[k], out=M[k + 1])
+    finite = np.isfinite(M).all(axis=(1, 2))
+    if not finite.all():
+        blown = int(np.argmin(finite)) - 1
+    if blown is not None:
+        raise ode.blowup_error(times[blown])
+    node_u = u_ref.evaluate(times)
+    At = np.array([df_dx(x, v) for x, v in zip(xs, node_u)],
+                  dtype=float).reshape(len(times), n, n)
+    df_du = sys.df_du
+    Bt = np.array([df_du(x, v) for x, v in zip(xs, node_u)],
+                  dtype=float).reshape(len(times), n, m)
     return LinearizedSystem(times, At, Bt, M, Trajectory(times, xs), u_ref, sys, x0)
 
 
@@ -454,7 +496,7 @@ def singularity_test(lin: LinearizedSystem, T: Optional[float] = None,
     if abs(times[-1] - T) > 1e-9 * max(T, 1.0):
         raise ValueError("T must coincide with a stored linearization node")
     n = lin.system.n
-    G = np.array([np.linalg.solve(lin.M[k], lin.Bt[k]) for k in range(len(times))])
+    G = np.linalg.solve(lin.M[:len(times)], lin.Bt[:len(times)])
     P = np.einsum("kij,klj->kil", G, G)  # (N, n, n) integrand M^-1 B B^T M^-T
     # composite trapezoid handles the breakpoint-split (nonuniform) nodes
     w = np.diff(times)
@@ -469,8 +511,9 @@ def singularity_test(lin: LinearizedSystem, T: Optional[float] = None,
     return SingularityResult(status, rank, eigvals, W)
 
 
-def local_controllability(sys: ControlSystem) -> bool:
-    """Kalman test of the linearization at the equilibrium (0, 0)."""
+def equilibrium_linearization(sys: ControlSystem) -> LinearSystem:
+    """(A, B) = (df/dx, df/du) at the equilibrium (0, 0), with the control
+    box as bounds."""
     x0 = np.zeros(sys.n)
     u0 = np.zeros(sys.m)
     residual = np.asarray(sys.f(x0, u0), dtype=float)
@@ -480,7 +523,12 @@ def local_controllability(sys: ControlSystem) -> bool:
         )
     A = np.asarray(sys.df_dx(x0, u0), dtype=float)
     B = np.asarray(sys.df_du(x0, u0), dtype=float).reshape(sys.n, sys.m)
-    return controllability.is_controllable(LinearSystem(A, B))
+    return LinearSystem(A, B, None if sys.omega is None else sys.omega.copy())
+
+
+def local_controllability(sys: ControlSystem) -> bool:
+    """Kalman test of the linearization at the equilibrium (0, 0)."""
+    return controllability.is_controllable(equilibrium_linearization(sys))
 
 
 # ---------------------------------------------------------------------------

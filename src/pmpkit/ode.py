@@ -101,10 +101,15 @@ def rk4_step(rhs: RHS, t: float, x: np.ndarray, h: float) -> np.ndarray:
     k4 = np.asarray(rhs(t + h, x + h * k3), dtype=float)
     out = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(out)):
-        raise IntegrationBlowUp(
-            f"integration blew up: non-finite state after step at t={t!r}"
-        )
+        raise blowup_error(t)
     return out
+
+
+def blowup_error(t: float) -> IntegrationBlowUp:
+    """The error for a state that became non-finite in the step from t."""
+    return IntegrationBlowUp(
+        f"integration blew up: non-finite state after step at t={float(t)!r}"
+    )
 
 
 def _sign(v: float) -> int:

@@ -265,6 +265,42 @@ def test_linearize_command(tmp_path, capsys):
     assert lines[2] == "t,x1,x2"
 
 
+_SPRING = {"name": "nonlinear_spring", "k2": 2.0}
+
+
+@pytest.mark.parametrize("command, system, control, field", [
+    ("linearize", _SPRING, {"breakpoints": [0.0, 0.5], "values": [0.3]},
+     "config.control.breakpoints"),
+    ("linearize", _SPRING, {"breakpoints": [0.0, 1.0], "values": [[0.3, 0.2]]},
+     "config.control.values"),
+    ("simulate", OSC_JSON, {"breakpoints": [0.0, 1.0], "values": [[0.3, 0.2]]},
+     "config.control.values"),
+    ("simulate", OSC_JSON, {"breakpoints": [0.0, 0.5], "values": [0.3]},
+     "config.control.breakpoints"),
+    ("simulate", OSC_JSON, {"constant": [2.0]}, "config.control.constant"),
+], ids=["linearize_short_signal", "linearize_two_channels", "simulate_two_channels",
+        "simulate_short_signal", "simulate_outside_bounds"])
+def test_control_rejected_as_config_error(tmp_path, capsys, command, system, control,
+                                          field):
+    cfg = write_config(tmp_path, "cfg.json", {
+        "command": command, "system": system, "x0": [0.1, 0.0], "T": 1.0,
+        "control": control,
+    })
+    assert main(["--config", cfg, "--out", str(tmp_path)]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_linearize_blowup_exit_3(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", {
+        "command": "linearize", "system": _SPRING, "x0": [1e30, 0.0], "T": 1.0,
+        "control": {"constant": [0.3]},
+    })
+    assert main(["--config", cfg, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: integration blew up" in err
+    assert "Traceback" not in err
+
+
 def test_missing_field_path_in_error(tmp_path, capsys):
     cfg = write_config(tmp_path, "cfg.json", {
         "command": "simulate",

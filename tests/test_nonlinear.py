@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from pmpkit import kernels, nonlinear
-from pmpkit.errors import UnreachableTargetError
+from pmpkit.errors import IntegrationBlowUp, UnreachableTargetError
 from pmpkit.linsys import ControlSignal, LinearSystem, simulate
 from pmpkit.nonlinear import (
     BoundaryManifold,
@@ -143,6 +143,38 @@ def test_linearize_fundamental_matrix_lti():
     u = ControlSignal([0.0, 0.7, 1.5], [[0.3], [-0.9]])
     lin = linearize(sys, u, [0.1, 0.0], 1.5, n_steps=2000)
     assert np.abs(lin.M[-1] - oracles.expm_oracle(OSC.A, 1.5)).max() < 1e-10
+
+
+def test_linearize_fundamental_matrix_matches_endpoint_differences():
+    # M(T) is the Jacobian of the RK4 endpoint in x0, checked by central
+    # differences of simulate_nonlinear, which carries no M.  Measured
+    # 1.4e-10; taking the second stage's Jacobian for the third gives 1.1e-7
+    sys = make_system("nonlinear_spring", k2=2.0)
+    T = 3.0
+    u = ControlSignal([0.0, 0.8, 2.1, T], [[0.7], [-1.0], [0.4]])
+    x0 = np.array([0.3, -0.2])
+    lin = linearize(sys, u, x0, T, n_steps=4000)
+    fd = np.empty((2, 2))
+    eps = 1e-5
+    for j in range(2):
+        dx = np.zeros(2)
+        dx[j] = eps
+        hi = simulate_nonlinear(sys, x0 + dx, u, T, n_steps=4000).endpoint
+        lo = simulate_nonlinear(sys, x0 - dx, u, T, n_steps=4000).endpoint
+        fd[:, j] = (hi - lo) / (2.0 * eps)
+    assert np.abs(lin.M[-1] - fd).max() <= 1e-8 * np.abs(fd).max()
+    # the reference is simulate_nonlinear's trajectory, bit for bit
+    ref = simulate_nonlinear(sys, x0, u, T, n_steps=4000)
+    assert np.array_equal(lin.reference.times, ref.times)
+    assert np.array_equal(lin.reference.states, ref.states)
+
+
+def test_linearize_blowup_step():
+    # x' = x^2 from x = 1 blows up at t = 1; RK4 with h = 5e-4 overflows in
+    # the step from t = 1.001
+    sys = ControlSystem(n=1, m=1, f=lambda x, u: x ** 2 + u, f0=lambda x, u: 1.0)
+    with pytest.raises(IntegrationBlowUp, match=r"at t=1\.001$"):
+        linearize(sys, ControlSignal.constant([0.0], 2.0), [1.0], 2.0, n_steps=4000)
 
 
 def test_io_differential_linear_in_v():

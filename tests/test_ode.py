@@ -35,6 +35,13 @@ def test_rk4_step_blowup_raises():
             x = rk4_step(rhs, 0.0, x, 10.0)
 
 
+def test_rk4_step_blowup_message_plain_float():
+    rhs = lambda t, x: x ** 3
+    with np.errstate(over="ignore"), pytest.raises(IntegrationBlowUp,
+                                                   match=r"at t=0\.5$"):
+        rk4_step(rhs, np.float64(0.5), np.array([1e200]), 1.0)
+
+
 def test_time_grid_validation():
     with pytest.raises(ValueError):
         TimeGrid(0.0, -1.0, 0.1)
