@@ -4,7 +4,7 @@ The inputs are the 10 ``linearize`` pool inputs of perfbench's
 reach-analysis workload (nonlinear spring, seeded piecewise controls).  For
 each one, ``linearize`` (default 4000 steps), ``singularity_test`` on its
 result and ``simulate_nonlinear`` over the same 4000 steps are each called
-``--repeats`` times in this process; the best time of each is kept.  Prints
+``REPEATS`` times in this process; the best time of each is kept.  Prints
 one JSON object with the host block and, per function, the median and total
 of the best per-call times.  Run from the repository root:
 
@@ -14,7 +14,6 @@ Point PYTHONPATH at another checkout's ``src`` to measure that version on
 the same inputs.
 """
 
-import argparse
 import json
 import os
 import platform
@@ -32,6 +31,7 @@ from pmpkit import kernels, nonlinear  # noqa: E402
 from pmpkit.linsys import ControlSignal  # noqa: E402
 
 N_STEPS = 4000
+REPEATS = 3
 
 
 def best_of(repeats, call):
@@ -45,13 +45,6 @@ def best_of(repeats, call):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--repeats", type=int, default=3,
-                    help="calls per function and input, best kept (default 3)")
-    args = ap.parse_args()
-    if args.repeats < 1:
-        ap.error("--repeats must be >= 1")
-
     times = {"linearize": [], "singularity_test": [], "simulate_nonlinear": []}
     for item in workloads.pool_candidates("reach-analysis", "linearize"):
         cfg = item["config"]
@@ -60,12 +53,12 @@ def main():
         u = ControlSignal(np.asarray(ctl["breakpoints"], dtype=float),
                           np.asarray(ctl["values"], dtype=float))
         x0, T = cfg["x0"], cfg["T"]
-        t, lin = best_of(args.repeats,
+        t, lin = best_of(REPEATS,
                          lambda: nonlinear.linearize(sys_n, u, x0, T, n_steps=N_STEPS))
         times["linearize"].append(t)
-        t, _ = best_of(args.repeats, lambda: nonlinear.singularity_test(lin))
+        t, _ = best_of(REPEATS, lambda: nonlinear.singularity_test(lin))
         times["singularity_test"].append(t)
-        t, _ = best_of(args.repeats, lambda: nonlinear.simulate_nonlinear(
+        t, _ = best_of(REPEATS, lambda: nonlinear.simulate_nonlinear(
             sys_n, x0, u, T, n_steps=N_STEPS))
         times["simulate_nonlinear"].append(t)
     print(json.dumps({

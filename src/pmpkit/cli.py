@@ -150,19 +150,10 @@ def _parse_control(cfg: _Cfg, key: str, m: int, T: float,
                               np.asarray(sub.require("values"), dtype=float))
     except (TypeError, ValueError) as exc:
         raise ConfigError(sub.path, f"invalid control signal: {exc}")
-    if u.m != m:
-        raise ConfigError(f"{sub.path}.{field}",
-                          f"expected {m} control channel(s), got {u.m}")
-    # the slack of linsys.simulate's own check
-    span = max(T, 1.0)
-    if u.t0 > 1e-12 * span or u.t1 < T - 1e-12 * span:
-        raise ConfigError(f"{sub.path}.breakpoints", f"must cover [0, T] = [0, {T:g}]")
-    if bounds is not None:
-        outside = (u.values < bounds[:, 0] - 1e-12) | (u.values > bounds[:, 1] + 1e-12)
-        if outside.any():
-            k = int(np.flatnonzero(outside.any(axis=1))[0])
-            raise ConfigError(f"{sub.path}.{field}",
-                              f"value {k} outside the control bounds {bounds.tolist()}")
+    bad = u.mismatch(m, T, bounds)
+    if bad is not None:
+        part, msg = bad
+        raise ConfigError(f"{sub.path}.{'breakpoints' if part == 'cover' else field}", msg)
     return u
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -128,6 +128,25 @@ class ControlSignal:
         v = np.atleast_1d(np.asarray(value, dtype=float))
         return cls(np.array([t0, t1]), v.reshape(1, -1))
 
+    def mismatch(self, m: int, T: float,
+                 bounds: Optional[np.ndarray] = None) -> Optional[Tuple[str, str]]:
+        """The first way this signal fails as an m-channel control on [0, T]
+        (and inside ``bounds``, when given), as (part, message) with part
+        "channels", "cover" or "bounds"; None when it fits."""
+        if self.m != m:
+            return "channels", f"expected {m} control channel(s), got {self.m}"
+        span = max(T, 1.0)
+        if self.t0 > 1e-12 * span or self.t1 < T - 1e-12 * span:
+            return "cover", f"control signal must cover [0, T] = [0, {T:g}]"
+        if bounds is not None:
+            outside = ((self.values < bounds[:, 0] - 1e-12)
+                       | (self.values > bounds[:, 1] + 1e-12))
+            if outside.any():
+                k = int(np.flatnonzero(outside.any(axis=1))[0])
+                return "bounds", (f"control value outside the control bounds "
+                                  f"{bounds.tolist()} on interval {k}")
+        return None
+
     def evaluate(self, t) -> np.ndarray:
         """Right-continuous evaluation; the first value extends before t0 and
         the final value beyond t1.  An array of times gives one row each."""
@@ -205,20 +224,10 @@ def simulate(sys: LinearSystem, x0, u: ControlSignal, T: float,
         raise ValueError("T must be nonnegative")
     if T == 0:
         return Trajectory(np.array([0.0]), x0.reshape(1, -1))
-    if u.m != sys.m:
-        raise ValueError("control channel count does not match the system")
+    bad = u.mismatch(sys.m, T, sys.control_bounds)
+    if bad is not None:
+        raise ValueError(bad[1])
     span = max(T, 1.0)
-    if u.t0 > 1e-12 * span or u.t1 < T - 1e-12 * span:
-        raise ValueError("control signal must be defined on [0, T]")
-
-    if sys.control_bounds is not None:
-        lo = sys.control_bounds[:, 0] - 1e-12
-        hi = sys.control_bounds[:, 1] + 1e-12
-        for k, v in enumerate(u.values):
-            if np.any(v < lo) or np.any(v > hi):
-                raise ValueError(
-                    f"control value outside control_bounds on interval {k}"
-                )
 
     # clip the knot list to [0, T]
     knots = [0.0]

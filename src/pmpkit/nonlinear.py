@@ -386,8 +386,13 @@ def linearize(sys: ControlSystem, u_ref: ControlSignal, x0, T: float,
     if blown is not None:
         raise ode.blowup_error(times[blown])
     node_u = u_ref.evaluate(times)
-    At = np.array([df_dx(x, v) for x, v in zip(xs, node_u)],
-                  dtype=float).reshape(len(times), n, n)
+    # a cell's first stage is its start node, so A(t_k) is already known
+    # wherever the node control is the cell's: all but the last node and the
+    # breakpoints that _node_times dropped next to 0 or T
+    At = np.empty((len(times), n, n))
+    At[:-1] = A[:, 0]
+    for k in np.append(np.flatnonzero((node_u[:-1] != cell_u).any(axis=1)), len(times) - 1):
+        At[k] = np.asarray(df_dx(xs[k], node_u[k]), dtype=float).reshape(n, n)
     df_du = sys.df_du
     Bt = np.array([df_du(x, v) for x, v in zip(xs, node_u)],
                   dtype=float).reshape(len(times), n, m)

@@ -169,6 +169,26 @@ def test_linearize_fundamental_matrix_matches_endpoint_differences():
     assert np.array_equal(lin.reference.states, ref.states)
 
 
+def test_linearize_node_jacobians_use_node_controls():
+    # At and Bt are the Jacobians at each node under the right-continuous
+    # control, also at t = 0 when a breakpoint within 1e-14 T of 0 is
+    # dropped from the nodes and the first cell holds the second value.  The
+    # control sets the stiffness, so that df_dx depends on u
+    sys = ControlSystem(
+        n=2, m=1, f=lambda x, u: np.array([x[1], -u[0] * x[0]]),
+        f0=lambda x, u: 1.0,
+        df_dx=lambda x, u: np.array([[0.0, 1.0], [-u[0], 0.0]]),
+        df_du=lambda x, u: np.array([[0.0], [-x[0]]]))
+    T = 3.0
+    u = ControlSignal([0.0, 1e-16, 1.0, T], [[0.5], [2.0], [0.7]])
+    lin = linearize(sys, u, [0.1, 0.2], T, n_steps=400)
+    node_u = [u.evaluate(t) for t in lin.times]
+    At = [sys.df_dx(x, v) for x, v in zip(lin.reference.states, node_u)]
+    Bt = [sys.df_du(x, v) for x, v in zip(lin.reference.states, node_u)]
+    assert np.array_equal(lin.At, np.reshape(At, lin.At.shape))
+    assert np.array_equal(lin.Bt, np.reshape(Bt, lin.Bt.shape))
+
+
 def test_linearize_blowup_step():
     # x' = x^2 from x = 1 blows up at t = 1; RK4 with h = 5e-4 overflows in
     # the step from t = 1.001
