@@ -34,8 +34,8 @@ paths resolve against --out).
 CSV columns by command:
   simulate   t,x1,...,xn        one row per sample time
   linearize  t,x1,...,xn        reference trajectory of the linearization
-  reach      theta,d1,...,dn,p1,...,pn,value
-             direction angle (2-D only), direction, support point, support value
+  reach      theta,d1,d2,p1,p2,value
+             direction angle, direction, support point, support value
 Metadata rides in leading '#' comment lines (tool version, resolved config).
 JSON outputs carry the payload at the top level plus a "meta" block.
 """
@@ -144,7 +144,8 @@ def _parse_control(cfg: _Cfg, key: str, m: int, T: float,
     field = "constant" if sub.has("constant") else "values"
     try:
         if sub.has("constant"):
-            u = ControlSignal.constant(sub.vector("constant"), T)
+            # a zero horizon still needs an interval to hold the value on
+            u = ControlSignal.constant(sub.vector("constant"), T if T > 0 else 1.0)
         else:
             u = ControlSignal(sub.vector("breakpoints"),
                               np.asarray(sub.require("values"), dtype=float))
@@ -257,24 +258,30 @@ def _cmd_simulate(cfg: _Cfg, out_dir, meta) -> str:
 
 def _cmd_reach(cfg: _Cfg, out_dir, meta) -> str:
     sys_lin = _parse_linear_system(cfg)
-    x0 = cfg.vector("x0", default=[0.0] * sys_lin.n)
+    if sys_lin.n != 2:
+        raise ConfigError(f"{cfg.path}.system",
+                          f"reach spreads its directions in the plane and needs n = 2, "
+                          f"got n = {sys_lin.n}")
+    try:
+        controllability._require_unit_box(sys_lin)
+    except ValueError as exc:
+        raise ConfigError(f"{cfg.path}.system", str(exc))
+    x0 = cfg.vector("x0", default=[0.0, 0.0])
+    if len(x0) != 2:
+        raise ConfigError(f"{cfg.path}.x0", "expected 2 entries")
     T = cfg.number("T", minimum=0.0)
+    if T <= 0:
+        raise ConfigError(f"{cfg.path}.T", "must be positive")
     K = cfg.integer("K", default=64)
     if K < 3:
         raise ConfigError(f"{cfg.path}.K", "K >= 3 required")
     hull = controllability.reach_hull(sys_lin, x0, T, K=K)
     path = _resolve_out(cfg, out_dir, "hull.json")
     if path.endswith(".csv"):
-        n = sys_lin.n
         lines = _csv_meta_lines(meta)
-        header = ["theta"] if n == 2 else []
-        header += [f"d{i + 1}" for i in range(n)]
-        header += [f"p{i + 1}" for i in range(n)]
-        header.append("value")
-        lines.append(",".join(header))
+        lines.append("theta,d1,d2,p1,p2,value")
         for d, p, v in zip(hull.directions, hull.support_points, hull.support_values):
-            row = [math.atan2(d[1], d[0])] if n == 2 else []
-            row += list(d) + list(p) + [v]
+            row = [math.atan2(d[1], d[0]), *d, *p, v]
             lines.append(",".join(f"{x:.17g}" for x in row))
         _atomic_write(path, "\n".join(lines) + "\n")
     else:

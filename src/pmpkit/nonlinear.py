@@ -81,6 +81,17 @@ class ControlSystem:
     set.  Missing Jacobians fall back to central differences with step
     1e-6 * (1 + |x_i|).  ``control_affine`` declares f and f0 affine in u, so
     that the Hamiltonian's maximum over the box lies at a vertex.
+
+    ``vectorized`` declares that f, f0 and the four Jacobians also take N
+    samples at once: states as an (n, N) array and controls as (m, N), one
+    sample per column.  They then return component-first results with the
+    samples last: f (n, N), f0 (N,), df_dx (n, n, N), df_du (n, m, N),
+    df0_dx (n, N) and df0_du (m, N).  A running cost or Jacobian that does
+    not depend on the sample may come back in its single-sample shape and
+    is broadcast.  Each column must carry the bits of
+    the single-sample call, so the batched route of ``check_extremal`` gives
+    the report of its per-sample loop; the finite-difference Jacobians are
+    single-sample only.
     """
 
     n: int
@@ -93,10 +104,13 @@ class ControlSystem:
     df0_du: Optional[Callable] = None
     omega: Optional[np.ndarray] = None
     control_affine: bool = False
+    vectorized: bool = False
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ValueError("n and m must be positive")
+        if self.vectorized and None in (self.df_dx, self.df_du, self.df0_dx, self.df0_du):
+            raise ValueError("a vectorized system must supply all four Jacobians")
         if self.omega is not None:
             om = np.asarray(self.omega, dtype=float)
             if om.shape != (self.m, 2) or not np.all(om[:, 0] < om[:, 1]):
@@ -205,14 +219,37 @@ def extremal_rhs(sys: ControlSystem, x, p, u, p0: float = -1.0):
 # built-in systems
 
 
+def _pow(a, k: int):
+    """a ** k as a float64 scalar computes it (the C library's pow), for a
+    scalar or entry by entry.  numpy's array power, squaring included, can
+    round the last bit differently, and a column of a vectorized system must
+    match the single-sample call."""
+    if not isinstance(a, np.ndarray):
+        return a ** k
+    return np.array([v ** k for v in a.ravel()]).reshape(a.shape)
+
+
+def _matvec(M: np.ndarray, v) -> np.ndarray:
+    """M @ v for one vector v, or for each column of a (k, N) array v as N
+    matrix-vector products (stacked matmul): a matrix-matrix product
+    rounds differently."""
+    if getattr(v, "ndim", 1) < 2:
+        return M @ v
+    return (M @ v.T[..., None])[..., 0].T
+
+
 def _spring_system(k2: float) -> ControlSystem:
     k2 = float(k2)
 
     def f(x, u):
-        return np.array([x[1], -x[0] - k2 * x[0] ** 3 + u[0]])
+        return np.array([x[1], -x[0] - k2 * _pow(x[0], 3) + u[0]])
 
     def df_dx(x, u):
-        return np.array([[0.0, 1.0], [-1.0 - 3.0 * k2 * x[0] ** 2, 0.0]])
+        a = -1.0 - 3.0 * k2 * _pow(np.asarray(x)[0], 2)
+        J = np.zeros((2, 2) + a.shape)
+        J[0, 1] = 1.0
+        J[1, 0] = a
+        return J
 
     return ControlSystem(
         n=2, m=1, f=f,
@@ -223,6 +260,7 @@ def _spring_system(k2: float) -> ControlSystem:
         df0_du=lambda x, u: np.zeros(1),
         omega=np.array([[-1.0, 1.0]]),
         control_affine=True,
+        vectorized=True,
     )
 
 
@@ -244,7 +282,7 @@ def from_linear(sys: LinearSystem, time_cost: bool = True) -> ControlSystem:
     A, B = sys.A, sys.B
     return ControlSystem(
         n=sys.n, m=sys.m,
-        f=lambda x, u: A @ x + B @ u,
+        f=lambda x, u: _matvec(A, x) + _matvec(B, u),
         f0=(lambda x, u: 1.0) if time_cost else (lambda x, u: 0.0),
         df_dx=lambda x, u: A,
         df_du=lambda x, u: B,
@@ -252,6 +290,7 @@ def from_linear(sys: LinearSystem, time_cost: bool = True) -> ControlSystem:
         df0_du=lambda x, u: np.zeros(sys.m),
         omega=None if sys.control_bounds is None else sys.control_bounds.copy(),
         control_affine=True,
+        vectorized=True,
     )
 
 
@@ -626,6 +665,126 @@ def _control_candidates(sys: ControlSystem, x, p, p0: float, u_now: np.ndarray):
     return candidates
 
 
+def _loop_residuals(sys: ControlSystem, times, X, P, p0: float,
+                    control: Optional[ControlSignal]):
+    """(state, adjoint, max-condition and stationarity residuals, max_v H at
+    every sample), one cell and one sample at a time."""
+
+    def u_at(t: float) -> np.ndarray:
+        if control is None:
+            return np.zeros(sys.m)
+        return np.atleast_1d(control.evaluate(t))
+
+    # (a) ODE defects of the joint extremal system
+    state_res = 0.0
+    adjoint_res = 0.0
+    n = sys.n
+    for k in range(len(times) - 1):
+        h = times[k + 1] - times[k]
+        if h <= 0:
+            continue
+        v = u_at(0.5 * (times[k] + times[k + 1]))
+
+        def rhs(t, z, vv=v):
+            xd, pd = extremal_rhs(sys, z[:n], z[n:], vv, p0)
+            return np.concatenate([xd, pd])
+
+        z_pred = ode.rk4_step(rhs, times[k], np.concatenate([X[k], P[k]]), h)
+        state_res = max(state_res, float(np.linalg.norm(z_pred[:n] - X[k + 1]) / h))
+        adjoint_res = max(adjoint_res, float(np.linalg.norm(z_pred[n:] - P[k + 1]) / h))
+
+    # (b)-(d) pointwise conditions
+    max_cond = 0.0
+    stationarity: Optional[float] = None
+    maxH = np.empty(len(times))
+    if sys.omega is None:
+        stationarity = 0.0
+    for k, t in enumerate(times):
+        u_now = u_at(t)
+        H_u = hamiltonian(sys, X[k], P[k], p0, u_now)
+        if sys.omega is None:
+            stationarity = max(stationarity, float(np.linalg.norm(
+                hamiltonian_du(sys, X[k], P[k], p0, u_now))))
+            maxH[k] = H_u
+        else:
+            best = H_u
+            for cand in _control_candidates(sys, X[k], P[k], p0, u_now):
+                best = max(best, hamiltonian(sys, X[k], P[k], p0, cand))
+            maxH[k] = best
+            max_cond = max(max_cond, best - H_u)
+    return state_res, adjoint_res, max_cond, stationarity, maxH
+
+
+def _per_sample(value, ndim: int) -> np.ndarray:
+    """A vectorized system's result with the samples on the first axis, each
+    sample's block contiguous like a single-sample result.  A result of the
+    single-sample rank ``ndim`` is common to all samples and is returned as
+    it is, to broadcast."""
+    a = np.asarray(value, dtype=float)
+    return a if a.ndim == ndim else np.ascontiguousarray(np.moveaxis(a, -1, 0))
+
+
+def _batched_residuals(sys: ControlSystem, times, X, P, p0: float,
+                       control: Optional[ControlSignal]):
+    """``_loop_residuals`` for a vectorized system whose maximum over the
+    control set needs no interior search, with every cell and every sample
+    at once.  Each product is the loop's own, on operands laid out like the
+    loop's vectors: one matrix-vector product per sample (stacked matmul),
+    and np.vecdot for dot products and norms.  So the residuals are the
+    loop's to the bit."""
+    n, m = sys.n, sys.m
+    h = np.diff(times)
+    cells = np.flatnonzero(h > 0)
+    h = h[cells, None]
+    if control is None:
+        cell_u, node_u = np.zeros((len(cells), m)), np.zeros((len(times), m))
+    else:
+        cell_u = control.evaluate(0.5 * (times[:-1] + times[1:]))[cells]
+        node_u = control.evaluate(times)
+
+    def worst(r) -> float:
+        # the loop's running max from 0.0, which passes over NaN
+        return float(np.fmax.reduce(r, initial=0.0))
+
+    def rhs(Z):
+        x, p, u = Z[:, :n].T, Z[:, n:], cell_u.T
+        pdot = (-_per_sample(sys.df_dx(x, u), 2).swapaxes(-1, -2) @ p[..., None])[..., 0] \
+            - p0 * _per_sample(sys.df0_dx(x, u), 1)
+        return np.concatenate([_per_sample(sys.f(x, u), 1), pdot], axis=1)
+
+    # (a) one RK4 step per cell with the stage arithmetic of ode.rk4_step
+    Z = np.concatenate([X[:-1], P[:-1]], axis=1)[cells]
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = rhs(Z)
+        k2 = rhs(Z + 0.5 * h * k1)
+        k3 = rhs(Z + 0.5 * h * k2)
+        k4 = rhs(Z + h * k3)
+        Z = Z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    blown = ~np.isfinite(Z).all(axis=1)
+    if blown.any():
+        raise ode.blowup_error(times[cells[np.argmax(blown)]])
+    dx = Z[:, :n] - X[cells + 1]
+    dp = Z[:, n:] - P[cells + 1]
+    state_res = worst(np.sqrt(np.vecdot(dx, dx)) / h[:, 0])
+    adjoint_res = worst(np.sqrt(np.vecdot(dp, dp)) / h[:, 0])
+
+    # (b)-(d) pointwise conditions
+    def hamiltonians(u):
+        return np.vecdot(P, _per_sample(sys.f(X.T, u.T), 1)) \
+            + p0 * _per_sample(sys.f0(X.T, u.T), 0)
+
+    H_u = hamiltonians(node_u)
+    if sys.omega is None:
+        g = (_per_sample(sys.df_du(X.T, node_u.T), 2).swapaxes(-1, -2) @ P[..., None])[..., 0] \
+            + p0 * _per_sample(sys.df0_du(X.T, node_u.T), 1)
+        return state_res, adjoint_res, 0.0, worst(np.sqrt(np.vecdot(g, g))), H_u
+    best = H_u
+    for vertex in itertools.product(*sys.omega.tolist()):
+        H_v = hamiltonians(np.tile(vertex, (len(times), 1)))
+        best = np.where(H_v > best, H_v, best)
+    return state_res, adjoint_res, worst(best - H_u), None, best
+
+
 def check_extremal(sys: ControlSystem, ext: Extremal,
                    m0: Optional[BoundaryManifold] = None,
                    m1: Optional[BoundaryManifold] = None) -> ExtremalReport:
@@ -636,7 +795,9 @@ def check_extremal(sys: ControlSystem, ext: Extremal,
     control box, the free-time zero / fixed-time constancy of max_v H, the
     Hestenes stationarity condition for unbounded control sets,
     transversality against affine boundary manifolds, and the nontriviality
-    margin of the multiplier pair.
+    margin of the multiplier pair.  A vectorized system whose maximum needs
+    no interior search (control-affine, or no control box) is checked at
+    every sample at once; the report is the per-sample loop's.
     """
     times = ext.trajectory.times
     X = ext.trajectory.states
@@ -659,75 +820,19 @@ def check_extremal(sys: ControlSystem, ext: Extremal,
                     f"grid mismatch: control breakpoint {s} is not a trajectory sample"
                 )
 
-    def u_at(t: float) -> np.ndarray:
-        if control is None:
-            return np.zeros(sys.m)
-        return np.atleast_1d(control.evaluate(t))
-
     if len(times) < 2:
         # zero-length horizon: every interval condition is vacuous, only the
         # endpoint conditions carry content
-        trans0 = 0.0
-        trans1 = 0.0
-        if m0 is not None and len(m0.tangent_basis):
-            trans0 = float(np.abs(m0.tangent_basis @ P[0]).max())
-        if m1 is not None and len(m1.tangent_basis):
-            trans1 = float(np.abs(m1.tangent_basis @ P[-1]).max())
-        return ExtremalReport(
-            state_residual=0.0,
-            adjoint_residual=0.0,
-            max_condition_residual=0.0,
-            hamiltonian_residual=0.0,
-            stationarity_residual=0.0 if sys.omega is None else None,
-            transversality_initial=trans0,
-            transversality_final=trans1,
-            nontriviality_margin=float(
-                np.sqrt((P ** 2).sum(axis=1) + p0 ** 2).min()),
-            abnormal=(p0 == 0.0),
-        )
-
-    # (a) ODE defects of the joint extremal system
-    state_res = 0.0
-    adjoint_res = 0.0
-    n = sys.n
-    for k in range(len(times) - 1):
-        h = times[k + 1] - times[k]
-        if h <= 0:
-            continue
-        v = u_at(0.5 * (times[k] + times[k + 1]))
-
-        def rhs(t, z, vv=v):
-            xd, pd = extremal_rhs(sys, z[:n], z[n:], vv, p0)
-            return np.concatenate([xd, pd])
-
-        z_pred = ode.rk4_step(rhs, times[k], np.concatenate([X[k], P[k]]), h)
-        state_res = max(state_res, float(np.linalg.norm(z_pred[:n] - X[k + 1])) / h)
-        adjoint_res = max(adjoint_res, float(np.linalg.norm(z_pred[n:] - P[k + 1])) / h)
-
-    # (b)-(d) pointwise conditions
-    max_cond = 0.0
-    stationarity: Optional[float] = None
-    maxH = np.empty(len(times))
-    if sys.omega is None:
-        stationarity = 0.0
-    for k, t in enumerate(times):
-        u_now = u_at(t)
-        H_u = hamiltonian(sys, X[k], P[k], p0, u_now)
-        if sys.omega is None:
-            stationarity = max(stationarity, float(np.linalg.norm(
-                hamiltonian_du(sys, X[k], P[k], p0, u_now))))
-            maxH[k] = H_u
-        else:
-            best = H_u
-            for cand in _control_candidates(sys, X[k], P[k], p0, u_now):
-                best = max(best, hamiltonian(sys, X[k], P[k], p0, cand))
-            maxH[k] = best
-            max_cond = max(max_cond, best - H_u)
-
-    if ext.problem_kind == "free-time":
-        ham_res = float(np.abs(maxH).max())
+        state_res = adjoint_res = max_cond = ham_res = 0.0
+        stationarity = 0.0 if sys.omega is None else None
     else:
-        ham_res = float(np.abs(maxH - np.median(maxH)).max())
+        batched = sys.vectorized and (sys.control_affine or sys.omega is None)
+        state_res, adjoint_res, max_cond, stationarity, maxH = (
+            _batched_residuals if batched else _loop_residuals)(sys, times, X, P, p0, control)
+        if ext.problem_kind == "free-time":
+            ham_res = float(np.abs(maxH).max())
+        else:
+            ham_res = float(np.abs(maxH - np.median(maxH)).max())
 
     # (e) transversality against the affine manifolds
     trans0 = 0.0

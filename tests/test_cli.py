@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import pmpkit
-from pmpkit.cli import main
+from pmpkit.cli import main, run
 
 OSC_JSON = {"A": [[0, 1], [-1, 0]], "B": [[0], [1]], "bounds": [[-1, 1]]}
 
@@ -47,6 +47,37 @@ def test_reach_k_validation(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config.K" in err
     assert "K >= 3" in err
+
+
+@pytest.mark.parametrize("fields, path, message", [
+    ({"system": {"A": [[0, 1], [-1, 0]], "B": [[0], [1]], "bounds": [[-2, 2]]}},
+     "config.system", "control bounds [-1, 1]"),
+    ({"system": {"A": [[0, 1, 0], [0, 0, 1], [0, 0, 0]], "B": [[0], [0], [1]],
+                 "bounds": [[-1, 1]]}}, "config.system", "n = 2"),
+    ({"x0": [0.1, 0.2, 0.3]}, "config.x0", "expected 2 entries"),
+    ({"T": 0.0}, "config.T", "must be positive"),
+], ids=["wide_bounds", "three_states", "x0_length", "zero_horizon"])
+def test_reach_rejected_as_config_error(tmp_path, capsys, fields, path, message):
+    config = {"command": "reach", "system": {"name": "linear_oscillator"}, "T": 1.0, "K": 8}
+    assert run({**config, **fields}, out_dir=str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert path in err
+    assert message in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("control", [
+    {"constant": [0.5]},
+    {"breakpoints": [0.0, 1.0], "values": [[0.5]]},
+], ids=["constant", "breakpoints"])
+def test_simulate_zero_horizon_writes_x0(tmp_path, capsys, control):
+    # T = 0 is a valid horizon for either control form: the trajectory is x0
+    rc = run({"command": "simulate", "system": OSC_JSON, "x0": [0.3, 0.4], "T": 0.0,
+              "control": control, "output_path": "traj.csv"}, out_dir=str(tmp_path))
+    assert rc == 0
+    assert capsys.readouterr().out.strip() == "samples=1 final=[0.3,0.4]"
+    lines = (tmp_path / "traj.csv").read_text().splitlines()
+    assert lines[2:] == ["t,x1,x2", "0,0.29999999999999999,0.40000000000000002"]
 
 
 def test_unknown_command_exit_2(tmp_path, capsys):

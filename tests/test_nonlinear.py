@@ -305,6 +305,8 @@ def test_check_extremal_analytic_passes():
     assert report.nontriviality_margin > 1.0
     assert not report.abnormal
     assert report.passes(1e-6)
+    assert type(report.state_residual) is float
+    assert type(report.adjoint_residual) is float
 
 
 def test_check_extremal_flipped_control_fails():
@@ -437,6 +439,146 @@ def test_check_extremal_stationarity_unbounded():
     # stationarity defect is ~ h/2 * |p_y'| and halves with the grid
     assert resids[1] < 0.6 * resids[0]
     assert resids[1] < 2e-3
+
+
+# ---------------------------------------------------------------------------
+# batched check_extremal against the per-sample loop
+
+
+def loop_report(sys, ext, *manifolds):
+    """check_extremal through the per-sample loop, which stays the reference."""
+    report = check_extremal(dataclasses.replace(sys, vectorized=False), ext, *manifolds)
+    assert all(type(v) is float for v in (report.state_residual, report.adjoint_residual,
+                                          report.max_condition_residual,
+                                          report.hamiltonian_residual))
+    return report
+
+
+def assert_same_report(sys, ext, *manifolds):
+    assert sys.vectorized
+    batched, loop = check_extremal(sys, ext, *manifolds), loop_report(sys, ext, *manifolds)
+    assert batched == loop
+    # the same values and the same types, so the JSON reports match byte for byte
+    assert repr(batched.to_json_dict()) == repr(loop.to_json_dict())
+    return batched
+
+
+@pytest.mark.parametrize("k2", [0.0, 0.5, 2.0])
+def test_batched_check_matches_loop_spring(k2):
+    target = np.array([0.5, -0.3])
+    sol, ext = spring_tmin_shoot(k2, target)
+    assert len(sol.switch_times) >= 1
+    report = assert_same_report(nonlinear._spring_system(k2), ext,
+                                BoundaryManifold.point(target),
+                                BoundaryManifold.point([0.0, 0.0]))
+    assert report == sol.report
+    fixed = Extremal(ext.trajectory, ext.adjoint, ext.p0, ext.control, "fixed-time")
+    assert_same_report(nonlinear._spring_system(k2), fixed)
+
+
+TWO_INPUT = LinearSystem(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2),
+                         np.array([[-1.0, 1.0], [-1.0, 1.0]]))
+
+
+@pytest.mark.parametrize("sys_lin, eta0, T", [
+    (OSC, [0.6, -0.8], 4.0),
+    (LinearSystem(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]),
+                  np.array([[-1.0, 1.0]])), [1.0, 1.0], 2.5),
+    (TWO_INPUT, [1.0, 0.2], 3.0),
+], ids=["oscillator", "double_integrator", "two_input"])
+def test_batched_check_matches_loop_from_linear(sys_lin, eta0, T):
+    from pmpkit.linear_tmin import bang_bang_from_adjoint
+    u, traj, adjoint = bang_bang_from_adjoint(sys_lin, eta0, T, x0=[0.4, -0.2],
+                                              sample_step=0.01)
+    assert len(u.breakpoints) > 2
+    for kind in ("free-time", "fixed-time"):
+        ext = Extremal(traj, adjoint, -1.0, u, kind)
+        assert_same_report(from_linear(sys_lin), ext,
+                           BoundaryManifold.point(traj.states[0]),
+                           BoundaryManifold.affine(traj.states[-1], [[1.0, 0.0]]))
+
+
+def test_batched_check_matches_loop_unbounded():
+    # stationarity route: from_linear with no control box (constant
+    # Jacobians), and an energy-cost system whose f0 and df0_du vary per sample
+    rng = np.random.default_rng(11)
+    times = np.linspace(0.0, 2.0, 201)
+    u = ControlSignal(times, rng.uniform(-1.0, 1.0, (200, 1)))
+    traj = simulate(LinearSystem(OSC.A, OSC.B, None), [0.3, 0.1], u, 2.0,
+                    max_sample_step=0.01)
+    adjoint = Trajectory(times.copy(), np.column_stack([np.cos(times), np.sin(times)]))
+    energy = ControlSystem(
+        n=2, m=1,
+        f=lambda x, u: np.array([x[1], -x[0] + u[0]]),
+        f0=lambda x, u: 0.5 * u[0] * u[0],
+        df_dx=lambda x, u: OSC.A,
+        df_du=lambda x, u: OSC.B,
+        df0_dx=lambda x, u: np.zeros(2),
+        df0_du=lambda x, u: np.array([u[0]]),
+        vectorized=True,
+    )
+    for sys in (from_linear(LinearSystem(OSC.A, OSC.B, None), time_cost=False), energy):
+        assert sys.omega is None
+        report = assert_same_report(sys, Extremal(traj, adjoint, -1.0, u, "fixed-time"))
+        assert report.stationarity_residual > 0
+
+
+def test_batched_check_blowup_matches_loop():
+    ext = analytic_oscillator_extremal(n_samples=101)
+    states = ext.trajectory.states.copy()
+    states[37] = [1e120, 0.0]
+    bad = Extremal(Trajectory(ext.trajectory.times, states), ext.adjoint, -1.0,
+                   ext.control, "free-time")
+    sys = make_system("nonlinear_spring", k2=2.0)
+    with pytest.raises(IntegrationBlowUp) as batched:
+        check_extremal(sys, bad)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(IntegrationBlowUp) as loop:
+        loop_report(sys, bad)
+    assert str(batched.value) == str(loop.value)
+    assert repr(float(ext.trajectory.times[37])) in str(batched.value)
+
+
+def test_batched_check_skips_zero_length_cell():
+    # a repeated sample makes a zero-length cell, which neither route steps
+    # over: the report is that of the grid without the repeat
+    ext = analytic_oscillator_extremal(n_samples=101)
+    rows = np.insert(np.arange(101), 50, 50)
+    repeated = Extremal(Trajectory(ext.trajectory.times, ext.trajectory.states),
+                        Trajectory(ext.adjoint.times, ext.adjoint.states),
+                        ext.p0, ext.control, "free-time")
+    for traj, source in ((repeated.trajectory, ext.trajectory),
+                         (repeated.adjoint, ext.adjoint)):
+        traj.times = source.times[rows]
+        traj.states = source.states[rows]
+    sys = make_system("nonlinear_spring", k2=2.0)
+    report = assert_same_report(sys, repeated)
+    assert report == check_extremal(sys, ext)
+
+
+def test_vectorized_spring_matches_single_samples():
+    # columns carry the bits of one sample at a time, also where numpy's
+    # array power rounds differently from the scalar one
+    rng = np.random.default_rng(5)
+    X = 3.0 * rng.standard_normal((2, 4000))
+    U = rng.uniform(-1.0, 1.0, (1, 4000))
+    for k2 in (0.5, 2.0):
+        sys = nonlinear._spring_system(k2)
+        J = sys.df_dx(X, U)
+        assert J.shape == (2, 2, 4000)
+        assert np.array_equal(J, np.stack([sys.df_dx(X[:, k], U[:, k])
+                                           for k in range(4000)], axis=-1))
+        assert np.array_equal(sys.f(X, U), np.stack([sys.f(X[:, k], U[:, k])
+                                                     for k in range(4000)], axis=-1))
+    lin = from_linear(TWO_INPUT)
+    U2 = rng.uniform(-1.0, 1.0, (2, 4000))
+    assert np.array_equal(lin.f(X, U2), np.stack([lin.f(X[:, k], U2[:, k])
+                                                  for k in range(4000)], axis=-1))
+
+
+def test_vectorized_requires_jacobians():
+    with pytest.raises(ValueError, match="Jacobians"):
+        ControlSystem(n=1, m=1, f=lambda x, u: u, f0=lambda x, u: 1.0, vectorized=True)
 
 
 # ---------------------------------------------------------------------------
