@@ -7,7 +7,8 @@ Two sets of extremals:
   solved by ``spring_tmin_shoot`` and checked as it checks them;
 - oscillator: the 40 tmin-linear pool inputs of the oscillator-tmin
   workload, solved and wrapped as the CLI's linear check-extremal route does
-  (``cli._linear_extremal_report``).
+  (``cli._linear_extremal``); a checkout without that helper reads null
+  for this set.
 
 Every extremal is checked ``REPEATS`` times per route in this process and
 the best time is kept.  The loop route is the system with
@@ -68,19 +69,11 @@ def oscillator_checks():
     hands to check_extremal for every oscillator pool input."""
     osc = cli._BUILTIN_LINEAR["linear_oscillator"]()
     opts = linear_tmin.TminOptions(sample_step=cli._EXTREMAL_SAMPLE_STEP)
-    check = nonlinear.check_extremal
     for family in workloads.OSC_FAMILIES:
         for item in workloads.pool_candidates("oscillator-tmin", family):
             cfg = item["config"]
             sol = linear_tmin.solve_tmin(osc, cfg["x0"], cfg["x1"], opts)
-            calls = []
-            nonlinear.check_extremal = lambda *args, **kw: calls.append((args, kw))
-            try:
-                cli._linear_extremal_report(osc, sol)
-            finally:
-                nonlinear.check_extremal = check
-            (system, ext), manifolds = calls[0]
-            yield system, ext, manifolds
+            yield cli._linear_extremal(osc, sol)
 
 
 def measure(checks):
@@ -113,7 +106,8 @@ def main():
                  "numpy": np.__version__, "has_numba": kernels.HAS_NUMBA},
         "repeats": REPEATS,
         "spring": measure(spring_checks()),
-        "oscillator": measure(oscillator_checks()),
+        "oscillator": (measure(oscillator_checks())
+                       if hasattr(cli, "_linear_extremal") else None),
     }, indent=2))
 
 

@@ -379,8 +379,9 @@ def _cmd_check_extremal(cfg: _Cfg, out_dir, meta) -> str:
     return f"max_residual={worst:.3e} abnormal={str(report.abnormal).lower()}"
 
 
-def _linear_extremal_report(sys_lin: LinearSystem, sol):
-    """Wrap a minimal-time linear solution as an extremal and check it."""
+def _linear_extremal(sys_lin: LinearSystem, sol):
+    """Wrap a minimal-time linear solution as an extremal of its nonlinear
+    form: (system, extremal, boundary manifolds m0/m1)."""
     nsys = nonlinear.from_linear(sys_lin)
     traj = sol.trajectory
     eta = sol.adjoint.states
@@ -401,11 +402,15 @@ def _linear_extremal_report(sys_lin: LinearSystem, sol):
         control=sol.control.to_control_signal(),
         problem_kind="free-time",
     )
-    return nonlinear.check_extremal(
-        nsys, ext,
-        m0=nonlinear.BoundaryManifold.point(sol.x0),
-        m1=nonlinear.BoundaryManifold.point(sol.x1),
-    )
+    manifolds = {"m0": nonlinear.BoundaryManifold.point(sol.x0),
+                 "m1": nonlinear.BoundaryManifold.point(sol.x1)}
+    return nsys, ext, manifolds
+
+
+def _linear_extremal_report(sys_lin: LinearSystem, sol):
+    """Wrap a minimal-time linear solution as an extremal and check it."""
+    nsys, ext, manifolds = _linear_extremal(sys_lin, sol)
+    return nonlinear.check_extremal(nsys, ext, **manifolds)
 
 
 def _cmd_linearize(cfg: _Cfg, out_dir, meta) -> str:
