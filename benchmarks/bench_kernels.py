@@ -87,7 +87,7 @@ def main():
                      best_of(integrate_with(kernels._integrate_core), args.repeats),
                      best_of(integrate_with(py_core), max(1, args.repeats // 2))))
     else:
-        print("numba unavailable or disabled; timing the paths that run")
+        print("numba unavailable; timing the paths that run")
         rows.append(("spring_scan", f"{args.alphas} x {args.steps}", 1,
                      None, best_of(scan_py, args.repeats)))
         rows.append(("spring_integrate", f"{args.integrations} calls",

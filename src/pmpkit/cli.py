@@ -23,9 +23,6 @@ from .errors import NumericalError
 from .linsys import ControlSignal, LinearSystem, simulate
 from .ode import Trajectory
 
-_COMMANDS = ("kalman", "simulate", "reach", "tmin-linear", "tmin-spring",
-             "check-extremal", "linearize")
-
 _EPILOG = """\
 The scenario lives in the JSON file passed with --config.  Its "command"
 field selects the action; "output_path" names the file to write (relative
@@ -458,9 +455,9 @@ def run(config: dict, out_dir: Optional[str] = None,
     try:
         cfg = _Cfg(config)
         command = cfg.string("command")
-        if command not in _COMMANDS:
+        if command not in _HANDLERS:
             raise ConfigError("config.command",
-                              f"unknown command; expected one of {list(_COMMANDS)}")
+                              f"unknown command; expected one of {list(_HANDLERS)}")
         meta = _meta(config, seed)
         summary = _HANDLERS[command](cfg, out_dir, meta)
     except ConfigError as exc:

@@ -14,39 +14,30 @@ endpoint's sensitivity [dz/dalpha, dz/dt], the Jacobian of the shooting
 residual: the loop carries the alpha-tangent through the differentiated RK4
 steps and the saltation jump at each switch.
 
-The loops are written for numba's ``njit``.  Without numba, or with
-PMPKIT_NO_NUMBA=1, the ``njit`` shim returns them unchanged and they run as
-plain python.  ``spring_integrate`` wraps the one loop either way.  The scan
-also has a numpy implementation vectorised over alpha, ``spring_scan_py``,
-which ``spring_scan`` selects without numba; ``spring_scan_jit`` drives the
-loop and stays importable for benchmarking and tests.
+``_rk4_frozen``, one RK4 step with the sign frozen, holds the stage
+arithmetic, and ``_rk4_tangent`` is its derivative.  The step uses only sums
+and products, so it runs unchanged on scalars and on numpy arrays.  The loops
+are written for numba's ``njit``; without numba they run as plain python.  Both
+scans step through ``_rk4_frozen``: ``spring_scan_jit`` per alpha in the
+loop ``_scan_core``, ``spring_scan_py`` on all alphas at once as arrays.
+``spring_scan`` picks the first with numba and the second without.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-NUMBA_DISABLED = bool(os.environ.get("PMPKIT_NO_NUMBA"))
 try:
-    if NUMBA_DISABLED:
-        raise ImportError("numba disabled by PMPKIT_NO_NUMBA")
     from numba import njit
 
     HAS_NUMBA = True
 except ImportError:
     HAS_NUMBA = False
 
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
+    def njit(cache):
+        return lambda func: func
 
 
 _MAX_SWITCH = 64
@@ -64,42 +55,7 @@ def _scan_core(k2, alphas, h, n_steps, out):
         out[q, 0, 0] = x
         out[q, 0, 1] = y
         for k in range(n_steps):
-            k1x = -y
-            k1y = x + k2 * x * x * x - s
-            k1px = -py * (1.0 + 3.0 * k2 * x * x)
-            k1py = px
-
-            x2 = x + 0.5 * h * k1x
-            y2 = y + 0.5 * h * k1y
-            px2 = px + 0.5 * h * k1px
-            py2 = py + 0.5 * h * k1py
-            k2x = -y2
-            k2y = x2 + k2 * x2 * x2 * x2 - s
-            k2px = -py2 * (1.0 + 3.0 * k2 * x2 * x2)
-            k2py = px2
-
-            x3 = x + 0.5 * h * k2x
-            y3 = y + 0.5 * h * k2y
-            px3 = px + 0.5 * h * k2px
-            py3 = py + 0.5 * h * k2py
-            k3x = -y3
-            k3y = x3 + k2 * x3 * x3 * x3 - s
-            k3px = -py3 * (1.0 + 3.0 * k2 * x3 * x3)
-            k3py = px3
-
-            x4 = x + h * k3x
-            y4 = y + h * k3y
-            px4 = px + h * k3px
-            py4 = py + h * k3py
-            k4x = -y4
-            k4y = x4 + k2 * x4 * x4 * x4 - s
-            k4px = -py4 * (1.0 + 3.0 * k2 * x4 * x4)
-            k4py = px4
-
-            x += (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-            y += (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-            px += (h / 6.0) * (k1px + 2.0 * k2px + 2.0 * k3px + k4px)
-            py += (h / 6.0) * (k1py + 2.0 * k2py + 2.0 * k3py + k4py)
+            x, y, px, py = _rk4_frozen(k2, x, y, px, py, s, h)
             if py > 0.0:
                 s = 1.0
             elif py < 0.0:
@@ -117,7 +73,7 @@ def spring_scan_jit(k2: float, alphas: np.ndarray, h: float, n_steps: int) -> np
 
 
 def spring_scan_py(k2: float, alphas: np.ndarray, h: float, n_steps: int) -> np.ndarray:
-    """Vectorized-over-alpha fallback of the scan kernel (same stepping)."""
+    """The scan with all alphas stepped at once as arrays (same steps)."""
     alphas = np.asarray(alphas, dtype=np.float64)
     Q = len(alphas)
     x = np.zeros(Q)
@@ -130,27 +86,9 @@ def spring_scan_py(k2: float, alphas: np.ndarray, h: float, n_steps: int) -> np.
     out = np.empty((Q, n_steps + 1, 2))
     out[:, 0, 0] = x
     out[:, 0, 1] = y
-
-    def f(x, y, px, py, s):
-        return (-y,
-                x + k2 * x ** 3 - s,
-                -py * (1.0 + 3.0 * k2 * x ** 2),
-                px)
-
     for k in range(n_steps):
-        k1 = f(x, y, px, py, s)
-        k2_ = f(x + 0.5 * h * k1[0], y + 0.5 * h * k1[1],
-                px + 0.5 * h * k1[2], py + 0.5 * h * k1[3], s)
-        k3 = f(x + 0.5 * h * k2_[0], y + 0.5 * h * k2_[1],
-               px + 0.5 * h * k2_[2], py + 0.5 * h * k2_[3], s)
-        k4 = f(x + h * k3[0], y + h * k3[1],
-               px + h * k3[2], py + h * k3[3], s)
-        x = x + (h / 6.0) * (k1[0] + 2 * k2_[0] + 2 * k3[0] + k4[0])
-        y = y + (h / 6.0) * (k1[1] + 2 * k2_[1] + 2 * k3[1] + k4[1])
-        px = px + (h / 6.0) * (k1[2] + 2 * k2_[2] + 2 * k3[2] + k4[2])
-        py = py + (h / 6.0) * (k1[3] + 2 * k2_[3] + 2 * k3[3] + k4[3])
-        flip = py != 0
-        s = np.where(flip, np.sign(py), s)
+        x, y, px, py = _rk4_frozen(k2, x, y, px, py, s, h)
+        s = np.where(py != 0, np.sign(py), s)
         out[:, k + 1, 0] = x
         out[:, k + 1, 1] = y
     return out
@@ -158,6 +96,7 @@ def spring_scan_py(k2: float, alphas: np.ndarray, h: float, n_steps: int) -> np.
 
 @njit(cache=True)
 def _rk4_frozen(k2, x, y, px, py, s, h):
+    """One RK4 step of the reversed system with s held fixed (scalars or arrays)."""
     k1x = -y
     k1y = x + k2 * x * x * x - s
     k1px = -py * (1.0 + 3.0 * k2 * x * x)
