@@ -11,7 +11,7 @@ from .errors import (
     NumericalError,
     UnreachableTargetError,
 )
-from .ode import EventSpec, TimeGrid, Trajectory, integrate_with_events, rk4_step
+from .ode import Trajectory, rk4_step
 from .linsys import ControlSignal, LinearSystem, linearity_check, mat_exp, simulate
 from .controllability import (
     KalmanMatrix,
@@ -58,11 +58,8 @@ __all__ = [
     "IntegrationBlowUp",
     "ChatteringError",
     "UnreachableTargetError",
-    "TimeGrid",
-    "EventSpec",
     "Trajectory",
     "rk4_step",
-    "integrate_with_events",
     "LinearSystem",
     "ControlSignal",
     "mat_exp",

@@ -10,7 +10,7 @@ class IntegrationBlowUp(NumericalError):
 
 
 class ChatteringError(NumericalError):
-    """The event localizer found more sign changes than allowed."""
+    """A switching-time locator found more sign changes than allowed."""
 
     def __init__(self, message, event_count=None):
         super().__init__(message)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -385,39 +385,52 @@ class LinearizedSystem:
         return float(self.times[-1])
 
 
+def _variational_pass(sys: ControlSystem, x0: np.ndarray, times: np.ndarray,
+                      cell_u: np.ndarray):
+    """``_reference_pass`` plus each step's RK4 propagator of y' = A(t) y,
+    Phi = I + h/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = A1, K2 = A2 (I + h/2 K1),
+    K3 = A3 (I + h/2 K2), K4 = A4 (I + h K3), formed for all steps at once.
+
+    Returns the node states (N, n), each step's start node and inner stage
+    states (K, 4, n), A1..A4 = df/dx at them (K, 4, n, n), Phi (K, n, n) and
+    the blow-up index; K = N - 1 unless the state blew up.
+    """
+    n = sys.n
+    xs, stages, blown = _reference_pass(sys, x0, times, cell_u)
+    df_dx = sys.df_dx
+    points = np.concatenate([xs[:len(stages), None], stages], axis=1)
+    A = np.array([[df_dx(p, v) for p in P] for P, v in zip(points, cell_u)],
+                 dtype=float).reshape(len(stages), 4, n, n)
+    h = np.diff(times)[:len(stages), None, None]
+    eye = np.eye(n)
+    K1 = A[:, 0]
+    K2 = A[:, 1] @ (eye + 0.5 * h * K1)
+    K3 = A[:, 2] @ (eye + 0.5 * h * K2)
+    K4 = A[:, 3] @ (eye + h * K3)
+    Phi = eye + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+    return xs, points, A, Phi, blown
+
+
 def linearize(sys: ControlSystem, u_ref: ControlSignal, x0, T: float,
               n_steps: int = 4000) -> LinearizedSystem:
     """Linearize along the RK4 reference trajectory from x0 under u_ref.
 
     A(t) = df/dx and B(t) = df/du are sampled at the nodes with the
     right-continuous control.  The fundamental matrix M' = A(t) M, M(0) = I,
-    is the RK4 of the variational equation at the reference's stage states:
-    each step's propagator Phi = I + h/6 (K1 + 2 K2 + 2 K3 + K4), with
-    K1 = A1, K2 = A2 (I + h/2 K1), K3 = A3 (I + h/2 K2), K4 = A4 (I + h K3),
-    is formed for all steps at once, and M(t_{k+1}) = Phi_k M(t_k).  This is
-    the joint RK4 of (x, M) with the M stages regrouped, so x is the same and
-    M differs from it by roundoff only.
+    is the RK4 of the variational equation at the reference's stage states,
+    M(t_{k+1}) = Phi_k M(t_k) with the step propagators of
+    ``_variational_pass``: the joint RK4 of (x, M) with the M stages
+    regrouped, so x is the same and M differs from it by roundoff only.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     times = _node_times(T, u_ref.breakpoints, n_steps)
     n, m = sys.n, sys.m
     cell_u = _cell_controls(u_ref, times)
     with np.errstate(over="ignore", invalid="ignore"):
-        xs, stages, blown = _reference_pass(sys, x0, times, cell_u)
-        df_dx = sys.df_dx
-        points = np.concatenate([xs[:len(stages), None], stages], axis=1)
-        A = np.array([[df_dx(p, v) for p in P] for P, v in zip(points, cell_u)],
-                     dtype=float).reshape(len(stages), 4, n, n)
-        h = np.diff(times)[:len(stages), None, None]
-        eye = np.eye(n)
-        K1 = A[:, 0]
-        K2 = A[:, 1] @ (eye + 0.5 * h * K1)
-        K3 = A[:, 2] @ (eye + 0.5 * h * K2)
-        K4 = A[:, 3] @ (eye + h * K3)
-        Phi = eye + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+        xs, _, A, Phi, blown = _variational_pass(sys, x0, times, cell_u)
         M = np.empty((len(xs), n, n))
-        M[0] = eye
-        for k in range(len(stages)):
+        M[0] = np.eye(n)
+        for k in range(len(Phi)):
             np.matmul(Phi[k], M[k], out=M[k + 1])
     finite = np.isfinite(M).all(axis=(1, 2))
     if not finite.all():
@@ -431,7 +444,7 @@ def linearize(sys: ControlSystem, u_ref: ControlSignal, x0, T: float,
     At = np.empty((len(times), n, n))
     At[:-1] = A[:, 0]
     for k in np.append(np.flatnonzero((node_u[:-1] != cell_u).any(axis=1)), len(times) - 1):
-        At[k] = np.asarray(df_dx(xs[k], node_u[k]), dtype=float).reshape(n, n)
+        At[k] = np.asarray(sys.df_dx(xs[k], node_u[k]), dtype=float).reshape(n, n)
     df_du = sys.df_du
     Bt = np.array([df_du(x, v) for x, v in zip(xs, node_u)],
                   dtype=float).reshape(len(times), n, m)
@@ -442,37 +455,42 @@ def io_differential(lin: LinearizedSystem, v: ControlSignal,
                     T: Optional[float] = None) -> np.ndarray:
     """Differential of the input-output map applied to v: y_v(T).
 
-    Integrates the linearized system y' = A(t) y + B(t) v, y(0) = 0, jointly
-    with the reference so the stage evaluations stay consistent.
+    The RK4 of y' = A(t) y + B(t) v, y(0) = 0, on its own node grid as
+    y_{k+1} = Phi_k y_k + F_k: the step propagators of ``_variational_pass``
+    plus the forcing of v over the cell at the same stage states.  This is
+    the joint RK4 of (x, y) regrouped, equal to it up to roundoff.
     """
     T = lin.T if T is None else float(T)
     if T > lin.T * (1 + 1e-12):
         raise ValueError("T exceeds the linearization horizon")
     sys = lin.system
-    n = sys.n
+    n, m = sys.n, sys.m
     times = _node_times(T, np.union1d(lin.control.breakpoints, v.breakpoints),
                         max(len(lin.times) - 1, 1))
-    x = lin.x0.copy()
-    y = np.zeros(n)
-    for k in range(len(times) - 1):
-        h = times[k + 1] - times[k]
-        mid = 0.5 * (times[k] + times[k + 1])
-        u_k = lin.control.evaluate(mid)
-        v_k = v.evaluate(mid)
-        z = np.concatenate([x, y])
-
-        def rhs(t, zz, uu=u_k, vv=v_k):
-            xx, yy = zz[:n], zz[n:]
-            Ax = np.asarray(sys.df_dx(xx, uu), dtype=float)
-            Bx = np.asarray(sys.df_du(xx, uu), dtype=float).reshape(n, sys.m)
-            return np.concatenate([
-                np.asarray(sys.f(xx, uu), dtype=float),
-                Ax @ yy + Bx @ vv,
-            ])
-
-        z = ode.rk4_step(rhs, times[k], z, h)
-        x, y = z[:n], z[n:]
-    return y
+    cell_u = _cell_controls(lin.control, times)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs, points, A, Phi, blown = _variational_pass(sys, lin.x0, times, cell_u)
+        # B v at the stage states and the forcing's RK4 stages G1 = B1 v,
+        # G2 = A2 h/2 G1 + B2 v, G3 = A3 h/2 G2 + B3 v, G4 = A4 h G3 + B4 v
+        Bv = np.array([[np.asarray(sys.df_du(p, u), dtype=float).reshape(n, m) @ w
+                        for p in P] for P, u, w in
+                       zip(points, cell_u, _cell_controls(v, times))],
+                      dtype=float).reshape(len(Phi), 4, n, 1)
+        h = np.diff(times)[:len(Phi), None, None]
+        G1 = Bv[:, 0]
+        G2 = A[:, 1] @ (0.5 * h * G1) + Bv[:, 1]
+        G3 = A[:, 2] @ (0.5 * h * G2) + Bv[:, 2]
+        G4 = A[:, 3] @ (h * G3) + Bv[:, 3]
+        F = (h / 6.0) * (G1 + 2.0 * G2 + 2.0 * G3 + G4)
+        ys = np.zeros((len(xs), n, 1))
+        for k in range(len(Phi)):
+            ys[k + 1] = Phi[k] @ ys[k] + F[k]
+    finite = np.isfinite(ys).all(axis=(1, 2))
+    if not finite.all():
+        blown = int(np.argmin(finite)) - 1
+    if blown is not None:
+        raise ode.blowup_error(times[blown])
+    return ys[-1, :, 0]
 
 
 def io_differential_mpath(lin: LinearizedSystem, v: ControlSignal,
@@ -898,15 +916,23 @@ class SpringSolution:
 _SCAN_CACHE: Dict[Tuple[float, int, float, int], Tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _scan_states(k2: float, n_alphas: int, t_max: float, n_steps: int):
+def _scan_states(k2: float, n_alphas: int, t_max: float, n_steps: int,
+                 round_idx: int):
+    """(alphas, (x, y) of the reversed flow at every alpha and grid time) on
+    the n_alphas << round_idx angles of a refinement round.  Only round 0's
+    table is cached across solves: the later ones are 2, 4, ... times larger
+    and only hard targets reach them."""
     key = (float(k2), int(n_alphas), float(t_max), int(n_steps))
-    if key not in _SCAN_CACHE:
-        alphas = 2.0 * math.pi * np.arange(n_alphas) / n_alphas
-        xy = kernels.spring_scan(float(k2), alphas, t_max / n_steps, n_steps)
+    if round_idx == 0 and key in _SCAN_CACHE:
+        return _SCAN_CACHE[key]
+    n = n_alphas << round_idx
+    alphas = 2.0 * math.pi * np.arange(n) / n
+    table = alphas, kernels.spring_scan(float(k2), alphas, t_max / n_steps, n_steps)
+    if round_idx == 0:
         if len(_SCAN_CACHE) > 4:
             _SCAN_CACHE.clear()
-        _SCAN_CACHE[key] = (alphas, xy)
-    return _SCAN_CACHE[key]
+        _SCAN_CACHE[key] = table
+    return table
 
 
 def _reversed_endpoint(k2: float, alpha: float, t: float, h_nom: float):
@@ -918,51 +944,60 @@ def _reversed_endpoint(k2: float, alpha: float, t: float, h_nom: float):
 
 
 def _integrate_reversed_ode(k2: float, alpha: float, t_end: float, h_nom: float):
-    """Event-accurate reversed-system integration via the ode machinery.
-
-    Returns (times, states(4), switch_times) on [0, t_end] with samples at
-    every located p_y zero crossing.
-    """
+    """(times, states(4), switch_times) of the reversed extremal system from
+    the origin on [0, t_end]: RK4 on a grid restarted at every switch, with
+    each p_y zero crossing bisected on its step and sampled.  It shares no
+    code with ``kernels``, so the kernel tests compare against it."""
     z = np.array([0.0, 0.0, math.sin(alpha), math.cos(alpha)])
     s = 1.0 if z[3] > 0 else (-1.0 if z[3] < 0 else (1.0 if z[2] > 0 else -1.0))
+
+    def rhs(tt, zz):
+        return np.array([-zz[1], zz[0] + k2 * zz[0] ** 3 - s,
+                         -zz[3] * (1.0 + 3.0 * k2 * zz[0] ** 2), zz[2]])
+
     t = 0.0
-    times = [0.0]
-    states = [z.copy()]
-    switches: List[float] = []
-    span = t_end
-
-    while t < t_end - 1e-12 * span:
-        remaining = t_end - t
-        step = min(h_nom, remaining)
-        grid = ode.TimeGrid(t, t_end, step)
-        s_seg = s
-
-        def rhs(tt, zz, ss=s_seg):
-            return np.array([
-                -zz[1],
-                zz[0] + k2 * zz[0] ** 3 - ss,
-                -zz[3] * (1.0 + 3.0 * k2 * zz[0] ** 2),
-                zz[2],
-            ])
-
-        event = ode.EventSpec(lambda tt, zz: float(zz[3]),
-                              min(0.49, max(1e-12, 1e-10 * t_end / step)))
-        traj, events = ode.integrate_with_events(
-            rhs, grid, z, event, max_events=10000, stop_at_first_event=True
-        )
-        times.extend(traj.times[1:].tolist())
-        states.extend(list(traj.states[1:]))
-        if events:
-            switches.append(events[0])
-            if len(switches) > 10000:
-                raise ChatteringError("more than 10000 control switches",
-                                      event_count=len(switches))
-            t = events[0]
-            z = traj.states[-1].copy()
-            s = -s
-        else:
-            t = t_end
-            z = traj.states[-1].copy()
+    times, states, switches = [t], [z], []
+    while t < t_end - 1e-12 * t_end:
+        # a fresh grid from t (0 or the last switch); switches located to tol
+        span = t_end - t
+        step = min(h_nom, span)
+        tol = min(0.49, max(1e-12, 1e-10 * t_end / step)) * step
+        side = np.sign(z[3])
+        while t < t_end - 1e-14 * span:
+            h = min(step, t_end - t)
+            z_new = ode.rk4_step(rhs, t, z, h)
+            if side == 0:
+                # started on a zero: adopt the first definite sign
+                side = np.sign(z_new[3])
+            elif np.sign(z_new[3]) != side:
+                # bisect [lo, hi]: p_y keeps its sign at lo and not at hi
+                lo, hi = 0.0, h
+                for _ in range(min(math.ceil(math.log2(max(h / tol, 2.0))), 80)):
+                    if hi - lo <= tol:
+                        break
+                    mid = 0.5 * (lo + hi)
+                    if np.sign(ode.rk4_step(rhs, t, z, mid)[3]) == side:
+                        lo = mid
+                    else:
+                        hi = mid
+                t_switch = t + hi
+                switches.append(t_switch)
+                if len(switches) > 10000:
+                    raise ChatteringError("more than 10000 control switches",
+                                          event_count=len(switches))
+                if t_switch - t > 1e-14 * span:
+                    z = ode.rk4_step(rhs, t, z, hi)
+                    times.append(t_switch)
+                    states.append(z)
+                t = t_switch
+                s = -s
+                break
+            t = t_end if t_end - (t + h) < 1e-14 * span else t + h
+            z = z_new
+            times.append(t)
+            states.append(z)
+        else:  # reached t_end with no further switch
+            break
     return np.array(times), np.array(states), np.array(switches)
 
 
@@ -1001,7 +1036,7 @@ def spring_tmin_shoot(params: Union[SpringParams, float], target,
     h_nom = opts.t_max / opts.n_steps
 
     def scan(round_idx: int):
-        alphas, xy = _scan_states(k2, opts.n_alphas << round_idx, opts.t_max, opts.n_steps)
+        alphas, xy = _scan_states(k2, opts.n_alphas, opts.t_max, opts.n_steps, round_idx)
         # squares summed in place, without an (alphas, steps, 2) temporary;
         # bit-identical to np.linalg.norm(xy - target, axis=2)
         D = xy[..., 0] - target[0]
@@ -1018,7 +1053,7 @@ def spring_tmin_shoot(params: Union[SpringParams, float], target,
     t_star, alpha_star = shoot2d(scan, residual, opts.t_max, tol, opts.max_newton,
                                  opts.max_seeds, opts.refine_rounds)
 
-    # authoritative re-integration through the ode event machinery
+    # authoritative re-integration through the independent reference route
     n_final = max(800, int(math.ceil(t_star / h_nom)))
     ts, zs, switch_s = _integrate_reversed_ode(k2, alpha_star, t_star,
                                                t_star / n_final)

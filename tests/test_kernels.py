@@ -21,8 +21,8 @@ def test_scan_variants_agree():
 
 
 def test_integrate_variants_agree():
-    # the kernel against the event route through ode.py, which locates the
-    # p_y zeros on its own
+    # the kernel against the reference route _integrate_reversed_ode, which
+    # steps and bisects the p_y zeros on its own
     for alpha in [0.3, 1.9, 2.3, 4.4]:
         for tau in [3.1, 6.0]:
             z, t, sw, n, _ = kernels.spring_integrate(2.0, alpha, tau, 0.005)
@@ -32,6 +32,25 @@ def test_integrate_variants_agree():
             assert np.abs(z - states[-1]).max() < 1e-8
             if n > 0:
                 assert np.abs(sw - switches).max() < 1e-8
+
+
+@pytest.mark.parametrize("alpha, t_end, h", [
+    (0.3, 6.0, 0.005), (1.9, 3.1, 0.005), (2.3, 10.0, 0.005),
+    (4.4, 7.5, 0.004), (1.0, 6.5, 6.5 / 800), (5.9, 0.7, 0.003),
+])
+def test_reference_route_matches_linear_oracle(alpha, t_end, h):
+    # k2 = 0: (p_x, p_y) = (sin(alpha - t), cos(alpha - t)) exactly, so the
+    # switches fall at alpha - pi/2 + k pi
+    times, states, switches = _integrate_reversed_ode(0.0, alpha, t_end, h)
+    exact = alpha - np.pi / 2 + np.pi * np.arange(-2, 5)
+    exact = exact[(exact > 0) & (exact < t_end)]
+    assert len(switches) == len(exact)
+    assert np.abs(switches - exact).max(initial=0.0) < 2e-9
+    adjoint = np.column_stack([np.sin(alpha - times), np.cos(alpha - times)])
+    assert np.abs(states[:, 2:] - adjoint).max() < 1e-9
+    assert np.isin(switches, times).all()
+    assert np.all(np.diff(times) > 0)
+    assert times[-1] == t_end
 
 
 def test_integrate_switch_times_are_py_zeros():

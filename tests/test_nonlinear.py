@@ -245,6 +245,17 @@ def test_io_differential_fd_convergence():
     assert min(orders) >= 1.0 - 1e-3
 
 
+def test_io_differential_blowup_step():
+    # x' = x^2 from x = 2 blows up at t = 0.5; io_differential integrates its
+    # own reference from lin.x0, so it raises where that one overflows
+    sys = ControlSystem(n=1, m=1, f=lambda x, u: x ** 2 + u, f0=lambda x, u: 1.0)
+    u = ControlSignal.constant([0.0], 0.9)
+    lin = dataclasses.replace(linearize(sys, u, [1.0], 0.9, n_steps=400),
+                              x0=np.array([2.0]))
+    with pytest.raises(IntegrationBlowUp, match=r"at t=0\.504$"):
+        io_differential(lin, ControlSignal.constant([1.0], 0.9))
+
+
 def test_singularity_regular_for_controllable_reference():
     sys = make_system("nonlinear_spring", k2=2.0)
     u = ControlSignal([0.0, 1.0], [[0.3]])
@@ -651,6 +662,17 @@ def test_spring_unreachable_horizon(monkeypatch):
     assert exc.value.best_residual > 1.0
     alpha, t = exc.value.best_candidate
     assert 0.0 <= alpha < 2.0 * math.pi and 0.0 < t <= 2.0
+
+
+def test_failing_solve_caches_only_first_round(monkeypatch):
+    # the refinement rounds' larger tables are not kept after the solve
+    monkeypatch.setattr(nonlinear, "_SCAN_CACHE", {})
+    with pytest.raises(UnreachableTargetError):
+        spring_tmin_shoot(2.0, [40.0, 0.0],
+                          options=SpringShootOptions(n_alphas=90, n_steps=400,
+                                                     t_max=2.0,
+                                                     refine_rounds=2))
+    assert list(nonlinear._SCAN_CACHE) == [(2.0, 90, 2.0, 400)]
 
 
 @pytest.mark.parametrize("k2", [0.5, 2.0])
