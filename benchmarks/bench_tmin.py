@@ -10,7 +10,10 @@ cost, so fewer but dearer calls show.
 The spring pools run in workload order, so the first solve of each k2 fills
 the scan cache and the best time of every solve is a warm one when
 ``--repeats`` > 1.  Prints one JSON object with the host block, per-solve
-seconds and calls.  Run from the repository root:
+seconds and calls, and per pool the totals of the solves' ``SolveStats``
+records (scan rounds, seeds run and skipped, Newton runs stopped or
+converged, residual calls) where the solver returns them.  Run from the
+repository root:
 
     PYTHONPATH=src python3 benchmarks/bench_tmin.py
 
@@ -19,6 +22,7 @@ the same inputs.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -65,8 +69,8 @@ def solve_stats(module, name, solve, repeats):
     return best, calls[0], best_spent, result
 
 
-def pool_block(times, calls, in_calls, name):
-    return {
+def pool_block(times, calls, in_calls, name, records):
+    block = {
         "solves": len(times),
         "median_solve_s": round(statistics.median(times), 4),
         "total_solve_s": round(sum(times), 3),
@@ -75,6 +79,10 @@ def pool_block(times, calls, in_calls, name):
         f"{name}_s": round(sum(in_calls), 3),
         f"{name}_per_call_ms": round(1e3 * sum(in_calls) / max(sum(calls), 1), 4),
     }
+    if None not in records:     # checkouts before SolveStats return none
+        block["seed_stats"] = {field.name: sum(getattr(r, field.name) for r in records)
+                               for field in dataclasses.fields(records[0])}
+    return block
 
 
 def main():
@@ -88,38 +96,40 @@ def main():
     # the pool inputs name the built-in "linear_oscillator"
     osc = LinearSystem(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.array([[0.0], [1.0]]),
                        np.array([[-1.0, 1.0]]))
-    times, calls, in_calls = [], [], []
+    times, calls, in_calls, records = [], [], [], []
     for family in workloads.OSC_FAMILIES:
         for item in workloads.pool_candidates("oscillator-tmin", family):
             x0, x1 = item["config"]["x0"], item["config"]["x1"]
-            t, n, t_in, _ = solve_stats(_bang, "bang_profile",
-                                        lambda: linear_tmin.solve_tmin(osc, x0, x1),
-                                        args.repeats)
+            t, n, t_in, sol = solve_stats(_bang, "bang_profile",
+                                          lambda: linear_tmin.solve_tmin(osc, x0, x1),
+                                          args.repeats)
             times.append(t)
             calls.append(n)
             in_calls.append(t_in)
+            records.append(getattr(sol, "stats", None))
     di = LinearSystem(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]),
                       np.array([[-1.0, 1.0]]))
     di_s, di_calls, _, di_sol = solve_stats(
         _bang, "bang_profile", lambda: linear_tmin.solve_tmin(di, [1.0, 0.0], [0.0, 0.0]), 1)
-    spring_times, spring_calls, spring_in_calls = [], [], []
+    spring_times, spring_calls, spring_in_calls, spring_records = [], [], [], []
     for k2 in workloads.SPRING_K2:
         for item in workloads.pool_candidates("spring-shooting", k2):
             target = item["config"]["target"]
-            t, n, t_in, _ = solve_stats(kernels, "spring_integrate",
-                                        lambda: nonlinear.spring_tmin_shoot(k2, target),
-                                        args.repeats)
+            t, n, t_in, (sol, _) = solve_stats(kernels, "spring_integrate",
+                                               lambda: nonlinear.spring_tmin_shoot(k2, target),
+                                               args.repeats)
             spring_times.append(t)
             spring_calls.append(n)
             spring_in_calls.append(t_in)
+            spring_records.append(getattr(sol, "stats", None))
     print(json.dumps({
         "host": {"cores": os.cpu_count(), "python": platform.python_version(),
                  "numpy": np.__version__, "has_numba": kernels.HAS_NUMBA},
-        "oscillator_pool": pool_block(times, calls, in_calls, "bang_profile"),
+        "oscillator_pool": pool_block(times, calls, in_calls, "bang_profile", records),
         "double_integrator": {"solve_s": round(di_s, 3), "bang_profile_calls": di_calls,
                               "T_star": di_sol.T_star},
         "spring_pool": pool_block(spring_times, spring_calls, spring_in_calls,
-                                  "spring_integrate"),
+                                  "spring_integrate", spring_records),
     }, indent=2))
 
 

@@ -52,15 +52,16 @@ class AdjointSampler:
         self.A = np.asarray(A, dtype=float)
         self.eta0 = np.asarray(eta0, dtype=float)
         self._eig = adjoint_decomp(self.A) if decomp is _AUTO else decomp
+        if self._eig is not None:
+            self._coef = self.eta0 @ self._eig[1]  # (n,) complex
 
     def eta(self, t) -> np.ndarray:
         """Adjoint rows eta(t) for scalar or array t; shape (..., n)."""
         t = np.asarray(t, dtype=float)
         if self._eig is not None:
-            w, V, Vinv = self._eig
-            coef = self.eta0 @ V  # (n,) complex
+            w, _, Vinv = self._eig
             phases = np.exp(-np.multiply.outer(t, w))  # (..., n)
-            out = (coef * phases) @ Vinv
+            out = (self._coef * phases) @ Vinv
             return np.real(out)
         if self.A.shape == (2, 2):
             # Cayley-Hamilton: N = A - mu I has N^2 = q I, so
@@ -176,9 +177,12 @@ def bang_profile(sys: LinearSystem, eta0: np.ndarray, T: float,
                 mid = 0.5 * (lo + hi)
                 g_mid = sampler.eta(mid) @ Bj
                 left = (g_mid > 0) == (g_lo > 0)
-                lo = np.where(left, mid, lo)
-                g_lo = np.where(left, g_mid, g_lo)
-                hi = np.where(left, hi, mid)
+                state = (np.where(left, mid, lo), np.where(left, hi, mid),
+                         np.where(left, g_mid, g_lo))
+                # a halving that changes nothing repeats itself to the end
+                if all(map(np.array_equal, state, (lo, hi, g_lo))):
+                    break
+                lo, hi, g_lo = state
         zeros = np.where(b > a + 1, ts[(a + b) // 2], 0.5 * (lo + hi))
         channel_switches.append(zeros[(zeros > 1e-12 * T) & (zeros < T * (1 - 1e-12))])
 

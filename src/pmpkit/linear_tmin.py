@@ -26,6 +26,7 @@ __all__ = [
     "BangBangControl",
     "TminSolution",
     "TminOptions",
+    "SolveStats",
     "bang_bang_from_adjoint",
     "solve_tmin",
     "check_tmin_system",
@@ -77,6 +78,19 @@ class BangBangControl:
 
 
 @dataclass
+class SolveStats:
+    """What one ``shoot2d`` search did; deterministic counts, no timings."""
+
+    rounds: int = 0             # scan rounds run
+    seeds_run: int = 0          # seeds that made a residual call
+    seeds_late: int = 0         # seeds skipped as later than best_T + h
+    seeds_duplicate: int = 0    # seeds skipped inside a root's box
+    runs_duplicate: int = 0     # Newton runs ended on reaching a root's box
+    runs_converged: int = 0     # Newton runs that found a new root
+    residual_calls: int = 0
+
+
+@dataclass
 class TminSolution:
     """Result of the minimal-time synthesis."""
 
@@ -89,6 +103,7 @@ class TminSolution:
     x1: np.ndarray
     trajectory: Optional[Trajectory] = None
     adjoint: Optional[Trajectory] = None
+    stats: Optional[SolveStats] = None     # the shooting search's counts
 
     def to_json_dict(self) -> dict:
         return {
@@ -229,8 +244,8 @@ def solve_tmin(sys: LinearSystem, x0, x1,
         x, J = _fast_endpoint(sys, decomp, x0, theta, T)
         return x - x1, lambda: J
 
-    T_star, theta_star = shoot2d(scan, residual, T_max, endpoint_tol, opts.max_newton,
-                                 opts.max_seeds, opts.refine_rounds)
+    T_star, theta_star, stats = shoot2d(scan, residual, T_max, endpoint_tol,
+                                        opts.max_newton, opts.max_seeds, opts.refine_rounds)
 
     eta0 = np.array([math.cos(theta_star), math.sin(theta_star)])
     profile = _bang.bang_profile(sys, eta0, T_star, decomp=decomp)
@@ -241,7 +256,7 @@ def solve_tmin(sys: LinearSystem, x0, x1,
                          channel_switch_times=profile.channel_switch_times)
     err = float(np.linalg.norm(traj.endpoint - x1))
     return TminSolution(T_star, bb, eta0, err, theta_star % (2.0 * math.pi),
-                        x0, x1, trajectory=traj, adjoint=adjoint)
+                        x0, x1, trajectory=traj, adjoint=adjoint, stats=stats)
 
 
 def _scan_candidates(sys: LinearSystem, x0, x1, T_max: float,
@@ -306,32 +321,71 @@ def nearest_minima(D: np.ndarray, angles: np.ndarray, h: float, count: int):
             for i in order]
 
 
+def _near(roots, angle: float, T: float, d_angle: float, h: float) -> bool:
+    """Whether (angle, T) lies within 2 d_angle (wrapped) and 2 h of a root
+    (T, angle, err) in roots."""
+    return any(abs(T - T_r) <= 2.0 * h
+               and abs((angle - a_r + math.pi) % (2.0 * math.pi) - math.pi) <= 2.0 * d_angle
+               for T_r, a_r, _ in roots)
+
+
 def shoot2d(scan, residual, t_max: float, tol: float, max_newton: int,
-            max_seeds: int, refine_rounds: int) -> Tuple[float, float]:
+            max_seeds: int, refine_rounds: int) -> Tuple[float, float, SolveStats]:
     """Smallest-time root (T, angle in [0, 2 pi)) of a 2-equation shooting
-    residual, ties broken by smallest angle.
+    residual, ties broken by smallest angle, and the search's counts.
 
     Round r calls scan(r) -> (D, angles, h), a distance table on a grid of
-    step h, and runs ``_newton2`` from its ``max_seeds`` nearest local minima
-    (T capped at t_max + h), skipping seeds later than the best root so far
-    by more than max(0.5, 10 h).  The first round with a root ends the
-    search.  With no root after 1 + refine_rounds rounds, raises
-    UnreachableTargetError carrying the nearest seed of the last round.
+    time step h and angles uniform on [0, 2 pi) with spacing d_angle, and
+    runs ``_newton2`` from its ``max_seeds`` nearest local minima (T capped
+    at t_max + h).  Two rules skip work that cannot change the answer:
+
+    - a seed at grid time T_s > best_T + h is skipped: a local minimum of D
+      at T_s marks a closest approach in (T_s - h, T_s + h), so it cannot
+      beat the best root so far;
+    - a point within 2 d_angle (wrapped) and 2 h of a root already found is
+      that root again: such a seed is skipped before its first residual
+      call, and a Newton run whose accepted iterate gets there ends with no
+      new root, so the first-found copy of a root stands.
+
+    The first round with a root ends the search.  With no root after
+    1 + refine_rounds rounds, raises UnreachableTargetError carrying the
+    nearest seed of the last round.
     """
+    stats = SolveStats()
     roots: List[Tuple[float, float, float]] = []  # (T, angle, err)
+
+    def counted(angle: float, T: float):
+        stats.residual_calls += 1
+        return residual(angle, T)
+
+    def known(angle: float, T: float) -> bool:
+        if _near(roots, angle, T, d_angle, h):
+            stats.runs_duplicate += 1
+            return True
+        return False
+
     for round_idx in range(1 + refine_rounds):
         D, angles, h = scan(round_idx)
+        stats.rounds += 1
         seeds = nearest_minima(D, angles, h, max_seeds)
+        d_angle = 2.0 * math.pi / len(angles)
+        del D   # free this round's table before the next round scans
         best_T = math.inf
         for _, angle_s, T_s in seeds:
-            if T_s > best_T + max(0.5, 10.0 * h):
+            if T_s > best_T + h:
+                stats.seeds_late += 1
                 continue
+            if _near(roots, angle_s, T_s, d_angle, h):
+                stats.seeds_duplicate += 1
+                continue
+            stats.seeds_run += 1
             try:    # the spring residual raises past its switch cap
-                sol = _newton2(residual, angle_s, T_s, t_max + h, tol, max_newton)
+                sol = _newton2(counted, angle_s, T_s, t_max + h, tol, max_newton, known)
             except ChatteringError:
                 continue
             if sol is None:
                 continue
+            stats.runs_converged += 1
             angle_r, T_r, err = sol
             roots.append((T_r, angle_r % (2.0 * math.pi), err))
             best_T = min(best_T, T_r)
@@ -349,14 +403,15 @@ def shoot2d(scan, residual, t_max: float, tol: float, max_newton: int,
     # smallest T wins; among (numerically) equal T, smallest angle
     key = [(round(T / 1e-9) * 1e-9, round(a / 1e-9) * 1e-9) for T, a, _ in roots]
     T_star, angle_star, _ = roots[min(range(len(roots)), key=lambda i: key[i])]
-    return T_star, angle_star
+    return T_star, angle_star, stats
 
 
 def _newton2(residual, theta: float, T: float, T_cap: float,
-             tol: float, max_iter: int):
+             tol: float, max_iter: int, known):
     """Damped 2-D Newton on residual(theta, T) -> (r, jacobian), where
     jacobian() returns the 2x2 Jacobian at that point and is called only at
-    accepted iterates; None on failure, including a singular or non-finite J."""
+    accepted iterates; None on failure, including a singular or non-finite J,
+    and at the first accepted iterate for which known(theta, T) holds."""
     th, t = float(theta), float(T)
     r, jac = residual(th, t)
     err = float(np.linalg.norm(r))
@@ -383,6 +438,8 @@ def _newton2(residual, theta: float, T: float, T_cap: float,
             lam *= 0.5
         else:
             break
+        if known(th, t):
+            return None
     if err <= tol:
         return th, t, err
     return None

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import controllability, kernels, ode
 from .errors import ChatteringError
-from .linear_tmin import shoot2d
+from .linear_tmin import SolveStats, shoot2d
 from .linsys import ControlSignal, LinearSystem
 from .ode import Trajectory
 
@@ -903,6 +903,7 @@ class SpringSolution:
     target: np.ndarray
     p0: float
     report: ExtremalReport
+    stats: Optional[SolveStats] = None     # the shooting search's counts
 
     def to_json_dict(self) -> dict:
         return {
@@ -1050,8 +1051,8 @@ def spring_tmin_shoot(params: Union[SpringParams, float], target,
         xy, J = _reversed_endpoint(k2, alpha, t, h_nom)
         return xy - target, lambda: J
 
-    t_star, alpha_star = shoot2d(scan, residual, opts.t_max, tol, opts.max_newton,
-                                 opts.max_seeds, opts.refine_rounds)
+    t_star, alpha_star, stats = shoot2d(scan, residual, opts.t_max, tol, opts.max_newton,
+                                        opts.max_seeds, opts.refine_rounds)
 
     # authoritative re-integration through the independent reference route
     n_final = max(800, int(math.ceil(t_star / h_nom)))
@@ -1103,6 +1104,7 @@ def spring_tmin_shoot(params: Union[SpringParams, float], target,
         target=target.copy(),
         p0=p0,
         report=report,
+        stats=stats,
     )
     return solution, ext
 

@@ -113,6 +113,43 @@ def two_arc_time(eps):
     return delta1 + delta2, (x_s, y_s), (delta1, delta2)
 
 
+def clockwise_angle(center, p, q):
+    """Angle in [0, 2 pi) of the clockwise rotation around center taking p to q."""
+    a_p = math.atan2(p[1] - center[1], p[0] - center[0])
+    a_q = math.atan2(q[1] - center[1], q[0] - center[0])
+    return (a_p - a_q) % (2.0 * math.pi)
+
+
+def one_switch_time(x0, x1, first_sign):
+    """Time and arcs of the fastest oscillator path x0 -> x1 that runs
+    u = first_sign and then u = -first_sign, both arcs shorter than pi.
+
+    The first arc turns x0 clockwise around (s, 0), the second turns the
+    switching point around (-s, 0) into x1, so the switching point is an
+    intersection of the two circles.  Returns (T, switch point, (delta1,
+    delta2)), or None when no intersection gives two arcs shorter than pi.
+    """
+    s = float(first_sign)
+    c1, c2 = (s, 0.0), (-s, 0.0)
+    r1 = math.hypot(x0[0] - c1[0], x0[1])
+    r2 = math.hypot(x1[0] - c2[0], x1[1])
+    # the centres lie 2 apart on the x axis: the intersections sit at
+    # distance along from c1 towards c2 and height +-sqrt(r1^2 - along^2)
+    along = (r1 ** 2 - r2 ** 2 + 4.0) / 4.0
+    if along ** 2 > r1 ** 2:
+        return None
+    height = math.sqrt(r1 ** 2 - along ** 2)
+    best = None
+    for y in (height, -height):
+        p = (s - s * along, y)
+        delta1 = clockwise_angle(c1, x0, p)
+        delta2 = clockwise_angle(c2, p, x1)
+        if 0.0 < delta1 < math.pi and 0.0 < delta2 < math.pi:
+            if best is None or delta1 + delta2 < best[0]:
+                best = (delta1 + delta2, p, (delta1, delta2))
+    return best
+
+
 def two_arc_selfcheck(eps):
     """Exact rotation replay of the two-arc path; returns the endpoint error."""
     _, (x_s, y_s), (delta1, delta2) = two_arc_time(eps)

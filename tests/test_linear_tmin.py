@@ -15,6 +15,7 @@ from pmpkit.linear_tmin import (
     bang_bang_from_adjoint,
     local_optimality_probe,
     nearest_minima,
+    shoot2d,
     solve_tmin,
 )
 from pmpkit.linsys import LinearSystem, simulate
@@ -138,7 +139,8 @@ def test_fast_endpoint_jacobian_matches_central_differences(sys):
 
 
 def test_solve_tmin_profile_count(monkeypatch):
-    # one profile per Newton residual and Jacobian, not five
+    # one profile per Newton residual and Jacobian, not five, and no
+    # Newton run past a root already found (96 calls before, 43 after)
     calls = []
     profile = _bang.bang_profile
 
@@ -148,7 +150,7 @@ def test_solve_tmin_profile_count(monkeypatch):
 
     monkeypatch.setattr(_bang, "bang_profile", counted)
     solve_tmin(OSC, [0.9, -0.4], [0.0, 0.0])
-    assert len(calls) <= 130
+    assert len(calls) <= 65
 
 
 def test_solve_tmin_double_integrator():
@@ -269,6 +271,79 @@ def test_nearest_minima_order():
                 (1.0, 0.2, 2.0), (2.0, 0.3, 0.5)]
     assert nearest_minima(D, angles, 0.5, 10) == expected
     assert nearest_minima(D, angles, 0.5, 2) == expected[:2]
+
+
+def _scan_step(x0, x1):
+    # solve_tmin's default horizon over its default 500 time steps
+    return 4.0 * math.pi * (1.0 + math.hypot(*x0) + math.hypot(*x1)) / 500
+
+
+def _one_switch_replay_error(x0, x1, sign, arcs):
+    switch = oracles.rotate(x0, (sign, 0.0), arcs[0])
+    end = oracles.rotate(switch, (-sign, 0.0), arcs[1])
+    return math.hypot(end[0] - x1[0], end[1] - x1[1])
+
+
+def test_solve_tmin_returns_earlier_of_two_near_extremals():
+    # two one-switch extremals with opposite first signs, 0.028 apart in
+    # time, less than the scan step h = 0.094; the slower root is found
+    # first, so a seed skipped for being later than best_T - 2h would lose
+    # the optimum.  Any extremal with two switches takes longer than pi.
+    x0, x1 = (0.802, 1.128), (1.045, 0.789)
+    T_fast, _, arcs_fast = oracles.one_switch_time(x0, x1, +1)
+    T_slow, _, arcs_slow = oracles.one_switch_time(x0, x1, -1)
+    assert 0.0 < T_slow - T_fast < _scan_step(x0, x1)
+    assert T_slow < math.pi
+    assert _one_switch_replay_error(x0, x1, +1, arcs_fast) < 1e-12
+    assert _one_switch_replay_error(x0, x1, -1, arcs_slow) < 1e-12
+    sol = solve_tmin(OSC, x0, x1)
+    assert abs(sol.T_star - T_fast) <= 1e-6
+    assert sol.control.initial_sign_per_channel[0] == 1.0
+    assert len(sol.control.switch_times) == 1
+    assert abs(sol.control.switch_times[0] - arcs_fast[0]) <= 1e-6
+
+
+@pytest.mark.xfail(strict=True, reason="the 24 nearest minima of D all lie in the "
+                   "valleys of two slower extremals (about 8 angles each), so no "
+                   "seed reaches the optimum")
+def test_solve_tmin_earliest_extremal_beyond_nearest_seeds():
+    x0, x1 = (-0.612, 0.616), (-0.26, 1.061)
+    T_fast, _, arcs = oracles.one_switch_time(x0, x1, +1)
+    T_slow, _, _ = oracles.one_switch_time(x0, x1, -1)
+    assert 0.0 < T_slow - T_fast < _scan_step(x0, x1)
+    assert _one_switch_replay_error(x0, x1, +1, arcs) < 1e-12
+    sol = solve_tmin(OSC, x0, x1)
+    assert abs(sol.T_star - T_fast) <= 1e-6
+
+
+def test_shoot2d_skips_known_and_late_seeds():
+    # residual (angle - a, T - t) of the nearest of two roots, so every
+    # Newton run lands on a root in one step
+    roots = [(1.0, 2.0), (4.0, 1.5)]
+
+    def residual(angle, T):
+        calls.append((angle, T))
+        a, t = min(roots, key=lambda r: abs((angle - r[0] + math.pi) % (2 * math.pi)
+                                            - math.pi) + abs(T - r[1]))
+        return np.array([angle - a, T - t]), lambda: np.eye(2)
+
+    h, angles = 0.1, 2.0 * math.pi * np.arange(36) / 36     # d_angle = 0.175
+    D = 10.0 + 0.001 * np.arange(51) * np.ones((36, 1))     # no minimum in time
+    dips = {(6, 20): 0.01,    # runs, finds root (1.0, 2.0)
+            (7, 21): 0.02,    # 0.22 and 0.1 from that root: skipped as known
+            (10, 19): 0.025,  # 0.75 from it: runs, stopped on reaching it
+            (23, 15): 0.03,   # runs, finds root (4.0, 1.5), the earlier one
+            (30, 40): 0.04}   # T = 4.0 > best_T + h: skipped as late
+    for (q, k), d in dips.items():
+        D[q, k] = d
+    calls = []
+    T, angle, stats = shoot2d(lambda r: (D, angles, h), residual, 5.0, 1e-6, 20, 24, 0)
+    assert (T, angle) == pytest.approx((1.5, 4.0))
+    for q, k in [(7, 21), (30, 40)]:
+        assert (pytest.approx(angles[q]), pytest.approx(k * h)) not in calls
+    assert (stats.rounds, stats.seeds_run, stats.seeds_late, stats.seeds_duplicate,
+            stats.runs_duplicate, stats.runs_converged) == (1, 3, 1, 1, 1, 2)
+    assert stats.residual_calls == len(calls) == 6
 
 
 def test_uncontrollable_system_rejected():
