@@ -12,8 +12,10 @@ the scan cache and the best time of every solve is a warm one when
 ``--repeats`` > 1.  Prints one JSON object with the host block, per-solve
 seconds and calls, and per pool the totals of the solves' ``SolveStats``
 records (scan rounds, seeds run and skipped, Newton runs stopped or
-converged, residual calls) where the solver returns them.  Run from the
-repository root:
+converged, residual calls) where the solver returns them.  A last block
+times ``bang_profile`` per call on 2,000 random (eta0, T) inputs for each of
+four planar classes: the oscillator, a damped oscillator, real eigenvalues
+and the double integrator.  Run from the repository root:
 
     PYTHONPATH=src python3 benchmarks/bench_tmin.py
 
@@ -85,6 +87,35 @@ def pool_block(times, calls, in_calls, name, records):
     return block
 
 
+PLANAR_CLASSES = {
+    "oscillator": [[0.0, 1.0], [-1.0, 0.0]],
+    "damped_oscillator": [[0.0, 1.0], [-2.0, -0.6]],
+    "real_eigenvalues": [[0.0, 1.0], [2.0, -1.0]],
+    "double_integrator": [[0.0, 1.0], [0.0, 0.0]],
+}
+
+
+def profile_per_call(repeats):
+    """bang_profile's best-of-repeats cost per call and its switch count,
+    per planar class, on 2,000 fixed random unit eta0 and T in [0.5, 4 pi]."""
+    n_inputs = 2000
+    rng = np.random.default_rng(5)
+    thetas = rng.uniform(0.0, 2.0 * np.pi, n_inputs)
+    etas = np.column_stack([np.cos(thetas), np.sin(thetas)])
+    horizons = rng.uniform(0.5, 4.0 * np.pi, n_inputs)
+    block = {}
+    for name, A in PLANAR_CLASSES.items():
+        sys_ = LinearSystem(np.array(A), np.array([[0.0], [1.0]]), np.array([[-1.0, 1.0]]))
+        best = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            profiles = [_bang.bang_profile(sys_, eta, T) for eta, T in zip(etas, horizons)]
+            best = min(best, time.perf_counter() - start)
+        block[name] = {"calls": n_inputs, "per_call_ms": round(1e3 * best / n_inputs, 4),
+                       "switches": sum(len(p.channel_switch_times[0]) for p in profiles)}
+    return block
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=3,
@@ -130,6 +161,7 @@ def main():
                               "T_star": di_sol.T_star},
         "spring_pool": pool_block(spring_times, spring_calls, spring_in_calls,
                                   "spring_integrate", spring_records),
+        "bang_profile_per_call": profile_per_call(args.repeats),
     }, indent=2))
 
 

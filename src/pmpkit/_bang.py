@@ -1,10 +1,14 @@
 """Internal helpers for adjoint-driven bang-bang control construction.
 
 The adjoint of X' = A X + B u satisfies eta' = -A^T eta, so the switching
-function of channel j is g_j(t) = <eta(t), B_j>, known in closed form through
-eta(t)^T = eta0^T e^{-tA}.  Switch times are the zeros of g_j, bracketed on a
-node grid and bisected on the closed form; the control takes the sign of g_j
-between switches.
+function of channel j is g_j(t) = <eta(t), B_j> with eta(t)^T = eta0^T e^{-tA}.
+For planar A, N = A - mu I (mu = tr A / 2) has N^2 = q I, so
+e^{-tA} = e^{-mu t} (c(t) I - s(t) N) and
+g_j(t) = e^{-mu t} (c(t) a_j - s(t) b_j), a_j = <eta0, B_j>, b_j = <eta0 N, B_j>.
+Switch times are the zeros of g_j, in closed form: every pi / r after the
+first when q = -r^2 < 0, at most one when q >= 0 (Pontryagin, Boltyanskii,
+Gamkrelidze & Mishchenko, 1962).  The control takes the sign of g_j between
+switches.
 """
 
 from __future__ import annotations
@@ -15,74 +19,39 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .linsys import ControlSignal, LinearSystem, mat_exp
+from .linsys import ControlSignal, LinearSystem
 
-# a channel whose switching function never rises above this relative floor is
+# a channel whose a_j and b_j both lie below this relative floor is
 # degenerate: the sign formula is undefined and the channel is forced to 0
 _DEGENERATE_REL = 1e-13
 
 
-def adjoint_decomp(A: np.ndarray):
-    """Eigendecomposition (w, V, Vinv) of A if reliably diagonalizable, else None."""
-    A = np.asarray(A, dtype=float)
-    try:
-        w, V = np.linalg.eig(A)
-        Vinv = np.linalg.inv(V)
-        cond = np.linalg.norm(V, 2) * np.linalg.norm(Vinv, 2)
-        recon = (V * w) @ Vinv
-        scale = max(1.0, float(np.abs(A).max()))
-        if cond < 1e8 and np.abs(recon - A).max() <= 1e-10 * scale:
-            return (w, V, Vinv)
-    except np.linalg.LinAlgError:
-        pass
-    return None
-
-
-_AUTO = object()
-
-
 class AdjointSampler:
-    """Evaluates the adjoint eta(t)^T = eta0^T e^{-tA}.
+    """Evaluates the planar adjoint eta(t)^T = eta0^T e^{-tA} in the closed form above."""
 
-    Uses the eigendecomposition of A when it is reliably diagonalizable,
-    else a closed form of e^{-tA} for n = 2 or one mat_exp per time.
-    """
-
-    def __init__(self, A: np.ndarray, eta0: np.ndarray, decomp=_AUTO):
-        self.A = np.asarray(A, dtype=float)
+    def __init__(self, A: np.ndarray, eta0: np.ndarray):
+        A = np.asarray(A, dtype=float)
         self.eta0 = np.asarray(eta0, dtype=float)
-        self._eig = adjoint_decomp(self.A) if decomp is _AUTO else decomp
-        if self._eig is not None:
-            self._coef = self.eta0 @ self._eig[1]  # (n,) complex
+        self.mu = 0.5 * float(np.trace(A))
+        self.N = A - self.mu * np.eye(2)
+        self.q = float(self.N[0, 0] ** 2 + self.N[0, 1] * self.N[1, 0])
+        self.r = math.sqrt(abs(self.q))
+
+    def cs(self, t):
+        """c(t) and s(t) of e^{-tA} = e^{-mu t} (c(t) I - s(t) N)."""
+        r = self.r
+        if self.q > 0:
+            return np.cosh(r * t), np.sinh(r * t) / r
+        if self.q < 0:
+            return np.cos(r * t), np.sin(r * t) / r
+        return np.ones_like(t), t
 
     def eta(self, t) -> np.ndarray:
-        """Adjoint rows eta(t) for scalar or array t; shape (..., n)."""
+        """Adjoint rows eta(t) for scalar or array t; shape (..., 2)."""
         t = np.asarray(t, dtype=float)
-        if self._eig is not None:
-            w, _, Vinv = self._eig
-            phases = np.exp(-np.multiply.outer(t, w))  # (..., n)
-            out = (self._coef * phases) @ Vinv
-            return np.real(out)
-        if self.A.shape == (2, 2):
-            # Cayley-Hamilton: N = A - mu I has N^2 = q I, so
-            # e^{-tA} = e^{-mu t} (c(t) I - s(t) N)
-            mu = 0.5 * float(np.trace(self.A))
-            N = self.A - mu * np.eye(2)
-            q = float(N[0, 0] ** 2 + N[0, 1] * N[1, 0])
-            r = math.sqrt(abs(q))
-            if q > 0:
-                c, s = np.cosh(r * t), np.sinh(r * t) / r
-            elif q < 0:
-                c, s = np.cos(r * t), np.sin(r * t) / r
-            else:
-                c, s = np.ones_like(t), t
-            rows = c[..., None] * self.eta0 - s[..., None] * (self.eta0 @ N)
-            return np.exp(-mu * t)[..., None] * rows
-        ts = np.atleast_1d(t)
-        rows = np.empty((len(ts), len(self.eta0)))
-        for i, ti in enumerate(ts):
-            rows[i] = self.eta0 @ mat_exp(self.A, -float(ti))
-        return rows.reshape(t.shape + (len(self.eta0),))
+        c, s = self.cs(t)
+        rows = c[..., None] * self.eta0 - s[..., None] * (self.eta0 @ self.N)
+        return np.exp(-self.mu * t)[..., None] * rows
 
 
 @dataclass
@@ -123,71 +92,57 @@ def control_from_channels(horizon: float, channel_switch_times: Sequence[np.ndar
     return ControlSignal(knots, values)
 
 
-def bang_profile(sys: LinearSystem, eta0: np.ndarray, T: float,
-                 decomp=_AUTO) -> BangProfile:
-    """Locate each channel's switch times on [0, T] and build the control.
+def bang_profile(sys: LinearSystem, eta0: np.ndarray, T: float) -> BangProfile:
+    """Each channel's switch times on [0, T], in closed form, and the control.
 
-    g_j is sampled on at least 16 nodes per half-period of the adjoint
-    (801 to 20001 nodes); each sign change between neighbouring nodes is
-    bisected on the closed form, and a node where g_j is exactly 0 between
-    opposite signs is taken as the zero itself.  A pair of zeros closer than
-    the node spacing can be missed, since g_j need not change sign on any
-    node in between.
+    The zeros of c(t) a_j - s(t) b_j are
+      q < 0: (psi + k pi) / r, k = 0, 1, ..., with psi = atan2(r a_j, b_j) mod pi;
+      q > 0: atanh(r a_j / b_j) / r, when 0 <= r a_j / b_j < 1;
+      q = 0: a_j / b_j, when a_j / b_j >= 0.
+    Zeros within 1e-12 T of either end are dropped.  The initial sign is the
+    sign of g_j halfway to the first kept zero, or at T / 2 when there is none.
     """
+    if sys.n != 2:
+        raise ValueError(f"switch times need a planar system (n = 2), got n = {sys.n}")
     eta0 = np.asarray(eta0, dtype=float).reshape(-1)
     if eta0.shape != (sys.n,):
         raise ValueError(f"eta0 must have dimension {sys.n}")
-    if np.linalg.norm(eta0) == 0.0:
+    eta_norm = float(np.linalg.norm(eta0))
+    if eta_norm == 0.0:
         raise ValueError("eta0 must be nonzero")
     if T <= 0:
         raise ValueError("T must be positive")
 
-    sampler = AdjointSampler(sys.A, eta0, decomp=decomp)
-    if sampler._eig is not None:
-        omega = max(1.0, max(abs(w.imag) for w in sampler._eig[0]))
-    else:
-        omega = max(1.0, float(np.abs(sys.A).max()) * sys.n)
-    n_nodes = min(20001, max(801, int(16 * T * omega / math.pi) + 1))
-    ts = np.linspace(0.0, T, n_nodes)
-    G = sampler.eta(ts) @ sys.B                 # (n_nodes, m)
+    sampler = AdjointSampler(sys.A, eta0)
+    q, r = sampler.q, sampler.r
+    a_all = eta0 @ sys.B
+    b_all = eta0 @ sampler.N @ sys.B
 
     channel_switches: List[np.ndarray] = []
     initial_signs = np.zeros(sys.m)
     degenerate: List[int] = []
 
     for j in range(sys.m):
-        Bj = sys.B[:, j]
-        g = G[:, j]
-        g_scale = max(1.0, float(np.linalg.norm(eta0)) * max(1.0, float(np.linalg.norm(Bj))))
-        g_max = float(np.abs(g).max())
-        if g_max <= _DEGENERATE_REL * g_scale:
+        a, b = float(a_all[j]), float(b_all[j])
+        Bj_norm = float(np.linalg.norm(sys.B[:, j]))
+        if max(abs(a), abs(b)) <= _DEGENERATE_REL * max(1.0, eta_norm * max(1.0, Bj_norm)):
             degenerate.append(j)
             channel_switches.append(np.empty(0))
             continue
 
-        # sign changes between consecutive nonzero nodes; b > a + 1 means g
-        # is exactly 0 on the node(s) between them
-        s = np.sign(g)
-        nz = np.flatnonzero(s)
-        change = s[nz[:-1]] * s[nz[1:]] < 0
-        a, b = nz[:-1][change], nz[1:][change]
-        lo, hi, g_lo = ts[a], ts[b], g[a]
-        if len(a):
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                g_mid = sampler.eta(mid) @ Bj
-                left = (g_mid > 0) == (g_lo > 0)
-                state = (np.where(left, mid, lo), np.where(left, hi, mid),
-                         np.where(left, g_mid, g_lo))
-                # a halving that changes nothing repeats itself to the end
-                if all(map(np.array_equal, state, (lo, hi, g_lo))):
-                    break
-                lo, hi, g_lo = state
-        zeros = np.where(b > a + 1, ts[(a + b) // 2], 0.5 * (lo + hi))
-        channel_switches.append(zeros[(zeros > 1e-12 * T) & (zeros < T * (1 - 1e-12))])
+        if q < 0:
+            psi = math.atan2(r * a, b) % math.pi
+            zeros = (psi + math.pi * np.arange(int((T * r - psi) / math.pi) + 1)) / r
+        elif b != 0.0 and a / b >= 0.0 and r * a / b < 1.0:
+            # the one zero: tanh(r t) = r a / b, or t = a / b when q = 0
+            zeros = np.array([math.atanh(r * a / b) / r if q > 0 else a / b])
+        else:
+            zeros = np.empty(0)
+        zeros = zeros[(zeros > 1e-12 * T) & (zeros < T * (1 - 1e-12))]
+        channel_switches.append(zeros)
 
-        first = np.nonzero(np.abs(g) > 1e-9 * g_max)[0]
-        initial_signs[j] = np.sign(g[first[0]]) if len(first) else 1.0
+        c, s = sampler.cs(0.5 * zeros[0] if len(zeros) else 0.5 * T)
+        initial_signs[j] = 1.0 if c * a - s * b >= 0.0 else -1.0
 
     control = control_from_channels(T, channel_switches, initial_signs)
     return BangProfile(

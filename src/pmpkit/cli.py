@@ -207,9 +207,10 @@ def _write_trajectory_csv(path: str, times: np.ndarray, states: np.ndarray,
 
 def _resolve_out(cfg: _Cfg, out_dir: Optional[str], default_name: str) -> str:
     name = cfg.string("output_path", default=default_name)
-    if os.path.isabs(name):
-        return name
-    return os.path.join(out_dir or ".", name)
+    path = name if os.path.isabs(name) else os.path.join(out_dir or ".", name)
+    if os.path.isdir(path):
+        raise ConfigError(f"{cfg.path}.output_path", "names an existing directory")
+    return path
 
 
 def _meta(config: dict, seed: Optional[int]) -> dict:
@@ -303,10 +304,13 @@ def _parse_tmin_problem(cfg: _Cfg):
 
 def _cmd_tmin_linear(cfg: _Cfg, out_dir, meta) -> str:
     sys_lin, x0, x1 = _parse_tmin_problem(cfg)
+    t_max = cfg.number("t_max") if cfg.has("t_max") else None
+    if t_max is not None and t_max <= 0:
+        raise ConfigError(f"{cfg.path}.t_max", "must be positive")
     opts = linear_tmin.TminOptions(
         n_angles=cfg.integer("n_angles", default=720, minimum=8),
         t_grid=cfg.integer("t_grid", default=500, minimum=10),
-        t_max=cfg.number("t_max", default=-1.0) if cfg.has("t_max") else None,
+        t_max=t_max,
         endpoint_tol=cfg.number("endpoint_tol", minimum=0.0)
         if cfg.has("endpoint_tol") else None,
     )

@@ -3,7 +3,9 @@
 The reachable set of a bounded-control linear system is compact and convex,
 so it is described from outside by support hyperplanes.  Each support point
 is attained by a bang-bang extremal control u(t) = sign<eta(t), B> driven by
-an adjoint arriving at the chosen direction.
+an adjoint arriving at the chosen direction; its switch times are the
+closed-form zeros of ``_bang.bang_profile``, so support points and hulls
+require a planar system (n = 2).
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ def reach_support(sys: LinearSystem, x0, T: float, eta_T) -> SupportResult:
     The adjoint is carried backward from eta(T) = eta_T, the bang-bang
     control takes the switching-function sign channel-wise, and the state is
     simulated exactly.  Channels whose switching function vanishes
-    identically are reported and held at 0.
+    identically are reported and held at 0.  Requires n = 2.
     """
     _require_unit_box(sys)
     eta_T = np.asarray(eta_T, dtype=float).reshape(-1)
@@ -137,10 +139,10 @@ class ReachHull:
 
 def reach_hull(sys: LinearSystem, x0, T: float, K: int = 64,
                directions: Optional[np.ndarray] = None) -> ReachHull:
-    """Sample the support function in K directions (uniform angles for n=2)."""
+    """Sample the support function in K directions (uniform angles by default)."""
     if directions is None:
         if sys.n != 2:
-            raise ValueError("automatic directions require n = 2; pass directions explicitly")
+            raise ValueError(f"reachable-set hulls need a planar system (n = 2), got n = {sys.n}")
         if K < 3:
             raise ValueError("K >= 3 required")
         angles = 2.0 * math.pi * np.arange(K) / K

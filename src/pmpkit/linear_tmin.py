@@ -131,8 +131,9 @@ def bang_bang_from_adjoint(sys: LinearSystem, eta0, T: float, x0=None,
     """Adjoint-driven bang-bang control, its state and adjoint trajectories.
 
     The adjoint is propagated exactly as eta(t)^T = eta(0)^T e^{-tA}; switch
-    times are the zeros of the closed-form switching function located by
-    ``_bang.bang_profile``; the state starts at x0 (default 0).
+    times are the closed-form zeros of the switching function given by
+    ``_bang.bang_profile``, which requires a planar system (n = 2); the state
+    starts at x0 (default 0).
     """
     eta0 = np.asarray(eta0, dtype=float).reshape(-1)
     if eta0.shape != (sys.n,) or np.linalg.norm(eta0) == 0.0:
@@ -154,7 +155,7 @@ def bang_bang_from_adjoint(sys: LinearSystem, eta0, T: float, x0=None,
 # fast endpoint evaluation used by the (theta, T) scan refinement
 
 
-def _fast_endpoint(sys: LinearSystem, decomp, x0: np.ndarray, theta: float,
+def _fast_endpoint(sys: LinearSystem, x0: np.ndarray, theta: float,
                    T: float) -> Tuple[np.ndarray, np.ndarray]:
     """Endpoint x(T) of the theta-adjoint bang-bang control and its exact
     Jacobian [dx/dtheta, dx/dT].
@@ -165,10 +166,10 @@ def _fast_endpoint(sys: LinearSystem, decomp, x0: np.ndarray, theta: float,
     carry these jumps to T.
     """
     c, s = math.cos(theta), math.sin(theta)
-    profile = _bang.bang_profile(sys, np.array([c, s]), T, decomp=decomp)
+    profile = _bang.bang_profile(sys, np.array([c, s]), T)
     control = profile.control
     knots = control.breakpoints
-    d_eta = _bang.AdjointSampler(sys.A, np.array([-s, c]), decomp=decomp)
+    d_eta = _bang.AdjointSampler(sys.A, np.array([-s, c]))
     AB = sys.A @ sys.B
     kick = np.zeros((len(knots), sys.n))      # jump of dx/dtheta at each knot
     for j, ts in enumerate(profile.channel_switch_times):
@@ -234,21 +235,20 @@ def solve_tmin(sys: LinearSystem, x0, x1,
     T_max = opts.t_max
     if T_max is None:
         T_max = 4.0 * math.pi * (1.0 + float(np.linalg.norm(x0)) + float(np.linalg.norm(x1)))
-    decomp = _bang.adjoint_decomp(sys.A)
 
     def scan(round_idx: int):
         return _scan_candidates(sys, x0, x1, T_max, opts.n_angles << round_idx,
                                 opts.t_grid << round_idx)
 
     def residual(theta: float, T: float):
-        x, J = _fast_endpoint(sys, decomp, x0, theta, T)
+        x, J = _fast_endpoint(sys, x0, theta, T)
         return x - x1, lambda: J
 
     T_star, theta_star, stats = shoot2d(scan, residual, T_max, endpoint_tol,
                                         opts.max_newton, opts.max_seeds, opts.refine_rounds)
 
     eta0 = np.array([math.cos(theta_star), math.sin(theta_star)])
-    profile = _bang.bang_profile(sys, eta0, T_star, decomp=decomp)
+    profile = _bang.bang_profile(sys, eta0, T_star)
     traj = simulate(sys, x0, profile.control, T_star, max_sample_step=opts.sample_step)
     adjoint = Trajectory(traj.times.copy(), profile.sampler.eta(traj.times))
     merged = np.unique(np.concatenate(profile.channel_switch_times))

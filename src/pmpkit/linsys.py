@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .ode import Trajectory
+from .ode import Trajectory, blowup_error
 
 __all__ = [
     "LinearSystem",
@@ -208,12 +208,14 @@ def _propagators(A: np.ndarray, c: np.ndarray, h: float):
     return Phi[:n, :n], Phi[:n, n]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def simulate(sys: LinearSystem, x0, u: ControlSignal, T: float,
              max_sample_step: Optional[float] = None) -> Trajectory:
     """Propagate the state exactly across each constant-control interval.
 
     ``max_sample_step`` adds equally spaced samples inside each interval
     (still exactly propagated); by default only interval endpoints are kept.
+    A non-finite state raises ``IntegrationBlowUp``.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape != (sys.n,):
@@ -252,7 +254,11 @@ def simulate(sys: LinearSystem, x0, u: ControlSignal, T: float,
             t_i = bnd if i == n_sub - 1 else a + (i + 1) * h
             times.append(t_i)
             states.append(x.copy())
-    return Trajectory(np.array(times), np.array(states))
+    times, states = np.array(times), np.array(states)
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
+        raise blowup_error(times[int(np.argmin(finite)) - 1])
+    return Trajectory(times, states)
 
 
 def linearity_check(sys: LinearSystem, u1: ControlSignal, u2: ControlSignal,

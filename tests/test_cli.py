@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -330,6 +331,39 @@ def test_linearize_blowup_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numerical failure: integration blew up" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("t_max", [-1, 0])
+def test_tmin_linear_nonpositive_t_max_exit_2(tmp_path, capsys, t_max):
+    rc = run({"command": "tmin-linear", "system": OSC_JSON, "x0": [0.5, 0.2],
+              "x1": [0.0, 0.0], "t_max": t_max}, out_dir=str(tmp_path))
+    assert rc == 2
+    assert "config.t_max: must be positive" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_output_path_naming_a_directory_exit_2(tmp_path, capsys):
+    (tmp_path / "out").mkdir()
+    rc = run({"command": "kalman", "system": OSC_JSON, "output_path": "out"},
+             out_dir=str(tmp_path))
+    assert rc == 2
+    assert "config.output_path" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert not list((tmp_path / "out").iterdir())
+
+
+def test_simulate_linear_blowup_exit_3(tmp_path, capsys):
+    # x' = 50 x overflows near t = 14.2; no overflow warning, no nan rows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run({"command": "simulate", "system": {"A": [[50, 0], [0, 50]], "B": [[1], [0]]},
+                  "x0": [1.0, 1.0], "T": 100.0, "control": {"constant": [0.0]},
+                  "output_path": "traj.csv"}, out_dir=str(tmp_path))
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: integration blew up" in err
+    assert "t=14.0" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_missing_field_path_in_error(tmp_path, capsys):

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import oracles
 from pmpkit import _bang, linear_tmin
-from pmpkit._bang import adjoint_decomp, bang_profile
-from pmpkit.controllability import reach_hull
+from pmpkit._bang import bang_profile
+from pmpkit.controllability import reach_hull, reach_support
 from pmpkit.errors import UnreachableTargetError
 from pmpkit.linear_tmin import (
     BangBangControl,
@@ -76,29 +77,73 @@ def test_adjoint_solves_backward_equation():
 
 
 def test_switch_on_grid_node_is_kept():
-    # double integrator, eta0 = (cos th, sin th): g(t) = sin th - t cos th,
-    # which is exactly 0 on the node t = 0.5 of the 801-node locator grid
+    # double integrator (q = 0), eta0 = (cos th, sin th): g(t) = sin th - t cos th,
+    # whose one zero t = tan th = 0.5 is exact in floating point
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
     di = LinearSystem(A, np.array([[0.0], [1.0]]), np.array([[-1.0, 1.0]]))
     theta = 0.4636476090008061
     assert math.sin(theta) == 0.5 * math.cos(theta)
-    x, _ = _fast_endpoint(di, adjoint_decomp(A), np.zeros(2), theta, 2.0)
+    x, _ = _fast_endpoint(di, np.zeros(2), theta, 2.0)
     # u = +1 on [0, 0.5], then -1 on [0.5, 2]
     assert np.allclose(x, [-0.25, -1.0], atol=1e-12)
 
 
-@pytest.mark.parametrize("c", [0.999, 0.99999])
-def test_close_pair_of_zeros_located(c):
-    # rotation plus a constant mode: g(t) = sin t - c, whose zeros asin c and
-    # pi - asin c lie 0.089 and 0.0089 apart (node spacing 2 pi / 800)
+PLANAR_CLASSES = {
+    "oscillator": (np.array([[0.0, 1.0], [-1.0, 0.0]]), np.array([[0.0], [1.0]])),
+    "damped_oscillator": (np.array([[0.0, 1.0], [-2.0, -0.6]]),
+                          np.array([[1.0, 0.3], [0.0, 1.0]])),
+    "real_eigenvalues": (np.array([[0.0, 1.0], [2.0, -1.0]]), np.array([[0.0], [1.0]])),
+    "double_integrator": (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]])),
+}
+
+
+@pytest.mark.parametrize("name", PLANAR_CLASSES)
+def test_switch_times_match_sampled_root_finding(name):
+    # independent route: g_j(t) = eta0^T expm(-t A) B_j through scipy, every
+    # sign change on a fine grid refined by brentq
+    A, B = PLANAR_CLASSES[name]
+    sys = LinearSystem(A, B, np.tile([-1.0, 1.0], (B.shape[1], 1)))
+    rng = np.random.default_rng(11)
+    counts = set()
+    for _ in range(20):
+        eta0 = rng.standard_normal(2)
+        T = rng.uniform(0.5, 10.0)
+        profile = bang_profile(sys, eta0, T)
+        ts = np.linspace(0.0, T, 1001)
+        E_h = oracles.expm_oracle(A, -(ts[1] - ts[0]))
+        rows = [eta0]
+        for _ in ts[1:]:
+            rows.append(rows[-1] @ E_h)
+        G = np.array(rows) @ B
+        for j in range(B.shape[1]):
+            def g(t):
+                return float(eta0 @ oracles.expm_oracle(A, -t) @ B[:, j])
+            brackets = np.flatnonzero(np.sign(G[:-1, j]) * np.sign(G[1:, j]) < 0)
+            want = [brentq(g, ts[k], ts[k + 1], xtol=1e-14, rtol=1e-14) for k in brackets]
+            got = profile.channel_switch_times[j]
+            assert len(got) == len(want)
+            assert np.abs(got - want).max(initial=0.0) < 1e-10
+            assert profile.initial_signs[j] == np.sign(G[1, j])
+            counts.add(len(want))
+    # both sides of the count law are exercised: no switch, and one or more
+    assert 0 in counts and max(counts) >= 1
+    if name in ("oscillator", "damped_oscillator"):
+        assert max(counts) >= 2
+
+
+def test_locator_rejects_non_planar_systems():
     sys = LinearSystem(np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
                        np.array([[0.0], [1.0], [1.0]]), np.array([[-1.0, 1.0]]))
-    profile = bang_profile(sys, np.array([-1.0, 0.0, -c]), 2.0 * math.pi)
-    want = [math.asin(c), math.pi - math.asin(c)]
-    got = profile.channel_switch_times[0]
-    assert len(got) == 2
-    assert np.abs(got - want).max() < 1e-12
-    assert profile.initial_signs[0] == -1.0
+    eta = np.array([1.0, 0.0, 0.5])
+    calls = [
+        lambda: bang_profile(sys, eta, 1.0),
+        lambda: reach_support(sys, np.zeros(3), 1.0, eta),
+        lambda: reach_hull(sys, np.zeros(3), 1.0, directions=np.eye(3)),
+        lambda: bang_bang_from_adjoint(sys, eta, 1.0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="n = 3"):
+            call()
 
 
 DOUBLE_INTEGRATOR = LinearSystem(np.array([[0.0, 1.0], [0.0, 0.0]]),
@@ -112,23 +157,22 @@ DOUBLE_INTEGRATOR = LinearSystem(np.array([[0.0, 1.0], [0.0, 0.0]]),
                  np.array([[-1.0, 1.0], [-1.0, 1.0]])),
 ], ids=["oscillator", "double_integrator", "two_inputs"])
 def test_fast_endpoint_jacobian_matches_central_differences(sys):
-    decomp = adjoint_decomp(sys.A)
     x0 = np.array([0.3, -0.2])
     rng = np.random.default_rng(7)
     checked = 0
     while checked < 20:
         theta, T = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.5, 6.0)
         eta0 = np.array([math.cos(theta), math.sin(theta)])
-        switches = np.concatenate(bang_profile(sys, eta0, T, decomp=decomp).channel_switch_times)
+        switches = np.concatenate(bang_profile(sys, eta0, T).channel_switch_times)
         if np.any((switches < 1e-3) | (switches > T - 1e-3)):
             continue
-        _, J = _fast_endpoint(sys, decomp, x0, theta, T)
+        _, J = _fast_endpoint(sys, x0, theta, T)
         h = 1e-6
         fd = np.column_stack([
-            (_fast_endpoint(sys, decomp, x0, theta + h, T)[0]
-             - _fast_endpoint(sys, decomp, x0, theta - h, T)[0]) / (2 * h),
-            (_fast_endpoint(sys, decomp, x0, theta, T + h)[0]
-             - _fast_endpoint(sys, decomp, x0, theta, T - h)[0]) / (2 * h),
+            (_fast_endpoint(sys, x0, theta + h, T)[0]
+             - _fast_endpoint(sys, x0, theta - h, T)[0]) / (2 * h),
+            (_fast_endpoint(sys, x0, theta, T + h)[0]
+             - _fast_endpoint(sys, x0, theta, T - h)[0]) / (2 * h),
         ])
         assert np.abs(J - fd).max() <= 1e-7 * (1.0 + np.abs(J).max())
         checked += 1
