@@ -47,32 +47,46 @@ class ConfigError(Exception):
 
 
 class _Cfg:
-    """Field accessor that reports dotted paths in error messages."""
+    """Field accessor that reports dotted paths in error messages.
+
+    It records every key it reads (``has`` is not a read), in sub-objects
+    too, so that ``reject_unread`` can refuse the fields no parser took.
+    """
 
     def __init__(self, data: dict, path: str = "config"):
         if not isinstance(data, dict):
             raise ConfigError(path, "expected a JSON object")
         self.data = data
         self.path = path
+        self.read = set()
+        self._subs = {}
 
     def has(self, key: str) -> bool:
         return key in self.data
 
-    def raw(self, key: str, default=None):
-        return self.data.get(key, default)
-
-    def require(self, key: str):
-        if key not in self.data:
-            raise ConfigError(f"{self.path}.{key}", "missing required field")
-        return self.data[key]
-
-    def sub(self, key: str) -> "_Cfg":
-        return _Cfg(self.require(key), f"{self.path}.{key}")
-
-    def number(self, key: str, default=None, minimum=None) -> float:
+    def require(self, key: str, default=None):
         val = self.data.get(key, default)
         if val is None:
             raise ConfigError(f"{self.path}.{key}", "missing required field")
+        self.read.add(key)
+        return val
+
+    def sub(self, key: str) -> "_Cfg":
+        if key not in self._subs:
+            self._subs[key] = _Cfg(self.require(key), f"{self.path}.{key}")
+        return self._subs[key]
+
+    def reject_unread(self) -> None:
+        """Raise ConfigError naming the first field that no parser read;
+        each handler calls it once its fields are parsed."""
+        for key in self.data:
+            if key not in self.read:
+                raise ConfigError(f"{self.path}.{key}", "unknown field for this command")
+        for sub in self._subs.values():
+            sub.reject_unread()
+
+    def number(self, key: str, default=None, minimum=None) -> float:
+        val = self.require(key, default)
         if not isinstance(val, (int, float)) or isinstance(val, bool) \
                 or not math.isfinite(val):
             raise ConfigError(f"{self.path}.{key}", "expected a finite number")
@@ -81,9 +95,7 @@ class _Cfg:
         return float(val)
 
     def integer(self, key: str, default=None, minimum=None) -> int:
-        val = self.data.get(key, default)
-        if val is None:
-            raise ConfigError(f"{self.path}.{key}", "missing required field")
+        val = self.require(key, default)
         if not isinstance(val, int) or isinstance(val, bool):
             raise ConfigError(f"{self.path}.{key}", "expected an integer")
         if minimum is not None and val < minimum:
@@ -91,9 +103,7 @@ class _Cfg:
         return val
 
     def vector(self, key: str, default=None) -> np.ndarray:
-        val = self.data.get(key, default)
-        if val is None:
-            raise ConfigError(f"{self.path}.{key}", "missing required field")
+        val = self.require(key, default)
         try:
             vec = np.asarray(val, dtype=float).reshape(-1)
         except (TypeError, ValueError):
@@ -103,9 +113,7 @@ class _Cfg:
         return vec
 
     def string(self, key: str, default=None) -> str:
-        val = self.data.get(key, default)
-        if val is None:
-            raise ConfigError(f"{self.path}.{key}", "missing required field")
+        val = self.require(key, default)
         if not isinstance(val, str):
             raise ConfigError(f"{self.path}.{key}", "expected a string")
         return val
@@ -127,6 +135,7 @@ def _parse_linear_system(cfg: _Cfg) -> LinearSystem:
             raise ConfigError(f"{sub.path}.name",
                               f"unknown linear system; known: {sorted(_BUILTIN_LINEAR)}")
         return _BUILTIN_LINEAR[name]()
+    sub.read.update(("A", "B", "bounds"))
     try:
         return LinearSystem.from_json_dict(sub.data)
     except (KeyError, ValueError, TypeError) as exc:
@@ -226,6 +235,8 @@ def _meta(config: dict, seed: Optional[int]) -> dict:
 
 def _cmd_kalman(cfg: _Cfg, out_dir, meta) -> str:
     sys_lin = _parse_linear_system(cfg)
+    path = _resolve_out(cfg, out_dir, "kalman.json")
+    cfg.reject_unread()
     km = controllability.kalman_matrix(sys_lin)
     controllable = km.rank == sys_lin.n
     payload = {
@@ -235,7 +246,7 @@ def _cmd_kalman(cfg: _Cfg, out_dir, meta) -> str:
         "kalman_matrix": km.C,
         "singular_values": km.singular_values,
     }
-    _write_json(_resolve_out(cfg, out_dir, "kalman.json"), payload, meta)
+    _write_json(path, payload, meta)
     return f"rank={km.rank} controllable={str(controllable).lower()}"
 
 
@@ -247,9 +258,10 @@ def _cmd_simulate(cfg: _Cfg, out_dir, meta) -> str:
     T = cfg.number("T", minimum=0.0)
     u = _parse_control(cfg, "control", sys_lin.m, T, sys_lin.control_bounds)
     step = cfg.number("max_sample_step", default=T / 400 if T > 0 else 1.0)
+    path = _resolve_out(cfg, out_dir, "trajectory.csv")
+    cfg.reject_unread()
     traj = simulate(sys_lin, x0, u, T, max_sample_step=step)
-    _write_trajectory_csv(_resolve_out(cfg, out_dir, "trajectory.csv"),
-                          traj.times, traj.states, meta)
+    _write_trajectory_csv(path, traj.times, traj.states, meta)
     final = ",".join(f"{v:.6g}" for v in traj.endpoint)
     return f"samples={len(traj.times)} final=[{final}]"
 
@@ -261,7 +273,7 @@ def _cmd_reach(cfg: _Cfg, out_dir, meta) -> str:
                           f"reach spreads its directions in the plane and needs n = 2, "
                           f"got n = {sys_lin.n}")
     try:
-        controllability._require_unit_box(sys_lin)
+        sys_lin.require_unit_box("reach")
     except ValueError as exc:
         raise ConfigError(f"{cfg.path}.system", str(exc))
     x0 = cfg.vector("x0", default=[0.0, 0.0])
@@ -273,8 +285,9 @@ def _cmd_reach(cfg: _Cfg, out_dir, meta) -> str:
     K = cfg.integer("K", default=64)
     if K < 3:
         raise ConfigError(f"{cfg.path}.K", "K >= 3 required")
-    hull = controllability.reach_hull(sys_lin, x0, T, K=K)
     path = _resolve_out(cfg, out_dir, "hull.json")
+    cfg.reject_unread()
+    hull = controllability.reach_hull(sys_lin, x0, T, K=K)
     if path.endswith(".csv"):
         lines = _csv_meta_lines(meta)
         lines.append("theta,d1,d2,p1,p2,value")
@@ -314,8 +327,10 @@ def _cmd_tmin_linear(cfg: _Cfg, out_dir, meta) -> str:
         endpoint_tol=cfg.number("endpoint_tol", minimum=0.0)
         if cfg.has("endpoint_tol") else None,
     )
+    path = _resolve_out(cfg, out_dir, "tmin.json")
+    cfg.reject_unread()
     sol = linear_tmin.solve_tmin(sys_lin, x0, x1, options=opts)
-    _write_json(_resolve_out(cfg, out_dir, "tmin.json"), sol.to_json_dict(), meta)
+    _write_json(path, sol.to_json_dict(), meta)
     return (f"T_star={sol.T_star:.9g} switches={len(sol.control.switch_times)} "
             f"endpoint_error={sol.endpoint_error:.3e}")
 
@@ -347,11 +362,14 @@ def _spring_options(cfg: _Cfg) -> nonlinear.SpringShootOptions:
 
 def _cmd_tmin_spring(cfg: _Cfg, out_dir, meta) -> str:
     k2, target = _parse_spring(cfg)
-    sol, _ext = nonlinear.spring_tmin_shoot(k2, target, options=_spring_options(cfg))
+    opts = _spring_options(cfg)
+    path = _resolve_out(cfg, out_dir, "tmin_spring.json")
+    cfg.reject_unread()
+    sol, _ext = nonlinear.spring_tmin_shoot(k2, target, options=opts)
     payload = sol.to_json_dict()
     payload["p0"] = sol.p0
     payload["report"] = sol.report.to_json_dict()
-    _write_json(_resolve_out(cfg, out_dir, "tmin_spring.json"), payload, meta)
+    _write_json(path, payload, meta)
     return (f"T_star={sol.T_star:.9g} switches={len(sol.switch_times)} "
             f"endpoint_error={sol.endpoint_error:.3e}")
 
@@ -363,18 +381,22 @@ _EXTREMAL_SAMPLE_STEP = 0.01
 
 
 def _cmd_check_extremal(cfg: _Cfg, out_dir, meta) -> str:
-    if cfg.has("target") or (cfg.has("system") and cfg.sub("system").has("name")
-                             and "spring" in cfg.sub("system").string("name")):
+    spring = cfg.has("target") or (cfg.has("system") and cfg.sub("system").has("name")
+                                   and "spring" in cfg.sub("system").string("name"))
+    if spring:
         k2, target = _parse_spring(cfg)
-        sol, _ = nonlinear.spring_tmin_shoot(k2, target, options=_spring_options(cfg))
-        report = sol.report
+        opts = _spring_options(cfg)
     else:
         sys_lin, x0, x1 = _parse_tmin_problem(cfg)
+    path = _resolve_out(cfg, out_dir, "extremal_report.json")
+    cfg.reject_unread()
+    if spring:
+        report = nonlinear.spring_tmin_shoot(k2, target, options=opts)[0].report
+    else:
         sol_lin = linear_tmin.solve_tmin(
             sys_lin, x0, x1, linear_tmin.TminOptions(sample_step=_EXTREMAL_SAMPLE_STEP))
         report = _linear_extremal_report(sys_lin, sol_lin)
-    payload = report.to_json_dict()
-    _write_json(_resolve_out(cfg, out_dir, "extremal_report.json"), payload, meta)
+    _write_json(path, report.to_json_dict(), meta)
     worst = max(report.state_residual, report.adjoint_residual,
                 report.max_condition_residual, report.hamiltonian_residual)
     return f"max_residual={worst:.3e} abnormal={str(report.abnormal).lower()}"
@@ -435,10 +457,11 @@ def _cmd_linearize(cfg: _Cfg, out_dir, meta) -> str:
         raise ConfigError(f"{cfg.path}.T", "must be positive")
     u_ref = _parse_control(cfg, "control", nsys.m, T)
     n_steps = cfg.integer("n_steps", default=4000, minimum=10)
+    path = _resolve_out(cfg, out_dir, "reference.csv")
+    cfg.reject_unread()
     lin = nonlinear.linearize(nsys, u_ref, x0, T, n_steps=n_steps)
     sing = nonlinear.singularity_test(lin)
-    _write_trajectory_csv(_resolve_out(cfg, out_dir, "reference.csv"),
-                          lin.reference.times, lin.reference.states, meta)
+    _write_trajectory_csv(path, lin.reference.times, lin.reference.states, meta)
     return f"status={sing.status} rank={sing.rank} samples={len(lin.times)}"
 
 

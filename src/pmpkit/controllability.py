@@ -64,13 +64,6 @@ class SupportResult(NamedTuple):
     degenerate_channels: Tuple[int, ...]
 
 
-def _require_unit_box(sys: LinearSystem) -> None:
-    if sys.control_bounds is None or not np.allclose(
-        sys.control_bounds, np.tile([-1.0, 1.0], (sys.m, 1)), atol=1e-12
-    ):
-        raise ValueError("reachable-set operations require control bounds [-1, 1] per channel")
-
-
 def reach_support(sys: LinearSystem, x0, T: float, eta_T) -> SupportResult:
     """Support point and value of the reachable set in direction eta_T.
 
@@ -79,7 +72,7 @@ def reach_support(sys: LinearSystem, x0, T: float, eta_T) -> SupportResult:
     simulated exactly.  Channels whose switching function vanishes
     identically are reported and held at 0.  Requires n = 2.
     """
-    _require_unit_box(sys)
+    sys.require_unit_box("reach_support")
     eta_T = np.asarray(eta_T, dtype=float).reshape(-1)
     if eta_T.shape != (sys.n,):
         raise ValueError(f"eta_T must have dimension {sys.n}")

@@ -1,4 +1,4 @@
-"""Hot numerical kernels for the nonlinear spring shooting solver.
+"""Numerical kernels of the nonlinear spring shooting solver.
 
 The time-reversed extremal system
 
@@ -16,11 +16,9 @@ steps and the saltation jump at each switch.
 
 ``_rk4_frozen``, one RK4 step with the sign frozen, holds the stage
 arithmetic, and ``_rk4_tangent`` is its derivative.  The step uses only sums
-and products, so it runs unchanged on scalars and on numpy arrays.  The loops
-are written for numba's ``njit``; without numba they run as plain python.  Both
-scans step through ``_rk4_frozen``: ``spring_scan_jit`` per alpha in the
-loop ``_scan_core``, ``spring_scan_py`` on all alphas at once as arrays.
-``spring_scan`` picks the first with numba and the second without.
+and products, so it runs unchanged on scalars and on numpy arrays: the scan
+steps every alpha at once as arrays, and ``spring_integrate`` is a plain
+python loop on floats.
 """
 
 from __future__ import annotations
@@ -29,51 +27,16 @@ import math
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-    def njit(cache):
-        return lambda func: func
-
+# no compiled path remains; the benchmark scripts still record this flag
+HAS_NUMBA = False
 
 _MAX_SWITCH = 64
 
 
-@njit(cache=True)
-def _scan_core(k2, alphas, h, n_steps, out):
-    for q in range(alphas.shape[0]):
-        a = alphas[q]
-        x = 0.0
-        y = 0.0
-        px = math.sin(a)
-        py = math.cos(a)
-        s = 1.0 if py > 0 else (-1.0 if py < 0 else (1.0 if px > 0 else -1.0))
-        out[q, 0, 0] = x
-        out[q, 0, 1] = y
-        for k in range(n_steps):
-            x, y, px, py = _rk4_frozen(k2, x, y, px, py, s, h)
-            if py > 0.0:
-                s = 1.0
-            elif py < 0.0:
-                s = -1.0
-            out[q, k + 1, 0] = x
-            out[q, k + 1, 1] = y
-
-
-def spring_scan_jit(k2: float, alphas: np.ndarray, h: float, n_steps: int) -> np.ndarray:
-    """(len(alphas), n_steps+1, 2) scan states via the compiled kernel."""
-    alphas = np.ascontiguousarray(alphas, dtype=np.float64)
-    out = np.empty((len(alphas), n_steps + 1, 2))
-    _scan_core(float(k2), alphas, float(h), int(n_steps), out)
-    return out
-
-
-def spring_scan_py(k2: float, alphas: np.ndarray, h: float, n_steps: int) -> np.ndarray:
-    """The scan with all alphas stepped at once as arrays (same steps)."""
+def spring_scan(k2: float, alphas: np.ndarray, h: float, n_steps: int) -> np.ndarray:
+    """(len(alphas), n_steps+1, 2) states (x, y) of the reversed flow, all
+    alphas stepped at once; after a step p_y's sign sets the control of the
+    next, so a switch takes effect on the step grid only."""
     alphas = np.asarray(alphas, dtype=np.float64)
     Q = len(alphas)
     x = np.zeros(Q)
@@ -94,7 +57,6 @@ def spring_scan_py(k2: float, alphas: np.ndarray, h: float, n_steps: int) -> np.
     return out
 
 
-@njit(cache=True)
 def _rk4_frozen(k2, x, y, px, py, s, h):
     """One RK4 step of the reversed system with s held fixed (scalars or arrays)."""
     k1x = -y
@@ -135,7 +97,6 @@ def _rk4_frozen(k2, x, y, px, py, s, h):
             py + (h / 6.0) * (k1py + 2.0 * k2py + 2.0 * k3py + k4py))
 
 
-@njit(cache=True)
 def _rk4_tangent(k2, x, y, px, py, s, dx, dy, dpx, dpy, h):
     """``_rk4_frozen`` step together with its derivative along the tangent
     (dx, dy, dpx, dpy); the base state is computed exactly as there (the
@@ -218,15 +179,19 @@ def _rk4_tangent(k2, x, y, px, py, s, dx, dy, dpx, dpy, h):
             dpy + h6 * (d1py + 2.0 * d2py + 2.0 * d3py + d4py))
 
 
-@njit(cache=True)
-def _integrate_core(k2, alpha, t_end, h_nom, switches):
-    """Endpoint, time reached, switch count, alpha-tangent and final sign.
+def spring_integrate(k2: float, alpha: float, t_end: float, h_nom: float):
+    """Event-accurate endpoint of the reversed system from the origin.
 
-    The tangent (dx, dy, dpx, dpy) = dz/dalpha starts at (0, 0, cos a,
-    -sin a) and is stepped with the differentiated RK4 map.  At a p_y zero,
-    located on the base state alone, the switch time moves with alpha and
-    the jump 2s of y' adds the saltation term 2 s dpy / px to dy.
+    Returns (z = (x, y, px, py), the time reached, switch times, switch
+    count, J); past ``_MAX_SWITCH`` switches it stops with count -1 and no
+    times.  J is the 4x2 sensitivity [dz/dalpha, dz/dt_end] of the endpoint.
+    Its alpha column is the tangent (dx, dy, dpx, dpy), started at (0, 0,
+    cos a, -sin a) and stepped with the differentiated RK4 map.  At a p_y
+    zero, located on the base state alone, the switch time moves with alpha
+    and the jump 2s of y' adds the saltation term 2 s dpy / px to dy.  The
+    t column is the right-hand side at the endpoint.
     """
+    k2, alpha, t_end, h_nom = float(k2), float(alpha), float(t_end), float(h_nom)
     x = 0.0
     y = 0.0
     px = math.sin(alpha)
@@ -237,7 +202,7 @@ def _integrate_core(k2, alpha, t_end, h_nom, switches):
     dpy = -px
     s = 1.0 if py > 0 else (-1.0 if py < 0 else (1.0 if px > 0 else -1.0))
     t = 0.0
-    n_switch = 0
+    switches = []
     eps = 1e-12 * t_end if t_end > 0 else 0.0
     while t < t_end - eps:
         h = h_nom if t + h_nom <= t_end else t_end - t
@@ -257,45 +222,25 @@ def _integrate_core(k2, alpha, t_end, h_nom, switches):
                 k2, x, y, px, py, s, dx, dy, dpx, dpy, hi)
             ndy += 2.0 * s * ndpy / npx
             t = t + hi
-            if n_switch < switches.shape[0]:
-                switches[n_switch] = t
-            n_switch += 1
-            if n_switch > switches.shape[0]:
-                return x, y, px, py, t, -1, dx, dy, dpx, dpy, s
+            switches.append(t)
+            if len(switches) > _MAX_SWITCH:
+                break
             s = -s
         else:
             t = t_end if t_end - (t + h) < eps else t + h
         x, y, px, py = nx, ny, npx, npy
         dx, dy, dpx, dpy = ndx, ndy, ndpx, ndpy
-    return x, y, px, py, t, n_switch, dx, dy, dpx, dpy, s
-
-
-def spring_integrate(k2: float, alpha: float, t_end: float, h_nom: float):
-    """Event-accurate endpoint of the reversed system from the origin.
-
-    Returns (z = (x, y, px, py), the time reached, switch times, switch
-    count, J); past ``_MAX_SWITCH`` switches it stops with count -1 and no
-    times.  J is the 4x2 sensitivity [dz/dalpha, dz/dt_end] of the endpoint:
-    the alpha column is the tangent carried by the loop, the t column the
-    right-hand side at the endpoint.
-    """
-    switches = np.empty(_MAX_SWITCH)
-    k2 = float(k2)
-    x, y, px, py, t, n_switch, dx, dy, dpx, dpy, s = _integrate_core(
-        k2, float(alpha), float(t_end), float(h_nom), switches
-    )
+    n_switch = len(switches) if len(switches) <= _MAX_SWITCH else -1
     J = np.array([[dx, -y],
                   [dy, x + k2 * x * x * x - s],
                   [dpx, -py * (1.0 + 3.0 * k2 * x * x)],
                   [dpy, px]])
-    return (np.array([x, y, px, py]), t, switches[:max(n_switch, 0)].copy(),
+    return (np.array([x, y, px, py]), t, np.array(switches[:max(n_switch, 0)]),
             n_switch, J)
 
 
-spring_scan = spring_scan_jit if HAS_NUMBA else spring_scan_py
-
-
 def warm_up() -> None:
-    """Trigger kernel compilation so timed sections see steady-state speed."""
+    """Run both kernels once on a tiny input, so that a timed section after
+    it pays no first-call costs."""
     spring_scan(2.0, np.array([0.0, math.pi]), 0.01, 4)
     spring_integrate(2.0, math.pi, 0.05, 0.01)

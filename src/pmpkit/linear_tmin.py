@@ -138,10 +138,7 @@ def bang_bang_from_adjoint(sys: LinearSystem, eta0, T: float, x0=None,
     eta0 = np.asarray(eta0, dtype=float).reshape(-1)
     if eta0.shape != (sys.n,) or np.linalg.norm(eta0) == 0.0:
         raise ValueError("eta0 must be a nonzero n-vector")
-    if sys.control_bounds is None or not np.allclose(
-        sys.control_bounds, np.tile([-1.0, 1.0], (sys.m, 1)), atol=1e-12
-    ):
-        raise ValueError("bang-bang synthesis requires control bounds [-1, 1]")
+    sys.require_unit_box("bang-bang synthesis")
     x0 = np.zeros(sys.n) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
 
     profile = _bang.bang_profile(sys, eta0, T)
@@ -195,10 +192,7 @@ def check_tmin_system(sys: LinearSystem) -> None:
     """Raise ValueError unless solve_tmin accepts sys (planar, unit box, controllable)."""
     if sys.n != 2:
         raise ValueError(f"solve_tmin supports planar systems (n = 2) only, got n = {sys.n}")
-    if sys.control_bounds is None or not np.allclose(
-        sys.control_bounds, np.tile([-1.0, 1.0], (sys.m, 1)), atol=1e-12
-    ):
-        raise ValueError("solve_tmin requires control bounds [-1, 1]")
+    sys.require_unit_box("solve_tmin")
     if not is_controllable(sys):
         raise ValueError("solve_tmin requires a controllable pair (A, B)")
 

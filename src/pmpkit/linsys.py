@@ -70,6 +70,14 @@ class LinearSystem:
     def m(self) -> int:
         return self.B.shape[1]
 
+    def require_unit_box(self, use: str) -> None:
+        """Raise ValueError, naming ``use``, unless every channel is bounded
+        by [-1, 1]."""
+        if self.control_bounds is None or not np.allclose(
+            self.control_bounds, np.tile([-1.0, 1.0], (self.m, 1)), atol=1e-12
+        ):
+            raise ValueError(f"{use} requires control bounds [-1, 1] per channel")
+
     def to_json_dict(self) -> dict:
         return {
             "A": self.A.tolist(),

@@ -69,7 +69,7 @@ def _fd_jacobian(fun, argindex: int, out_dim: int):
             f_hi = np.atleast_1d(np.asarray(fun(*args_hi), dtype=float))
             f_lo = np.atleast_1d(np.asarray(fun(*args_lo), dtype=float))
             J[:, i] = (f_hi - f_lo) / (2.0 * h)
-        return J if out_dim > 1 else J
+        return J
     return jac
 
 

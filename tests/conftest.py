@@ -5,6 +5,5 @@ from pmpkit import kernels
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernels():
-    # compile the jit kernels once so timed tests measure run time, not
-    # compilation
+    # run the kernels once so timed tests measure steady-state run time
     kernels.warm_up()

@@ -403,3 +403,27 @@ def test_entry_point_runs():
     assert out.returncode == 0
     assert "--config" in out.stdout
     assert "CSV columns" in out.stdout
+
+
+@pytest.mark.parametrize("config, field", [
+    ({"command": "reach", "system": {"name": "linear_oscillator"}, "T": 1.0, "K": 8,
+      "n_steps": 5}, "config.n_steps"),
+    ({"command": "tmin-linear", "system": OSC_JSON, "x0": [0.5, 0.0], "x1": [0.0, 0.0],
+      "max_seedz": 4}, "config.max_seedz"),
+    ({"command": "kalman", "system": dict(OSC_JSON, C=[[1, 0]])}, "config.system.C"),
+    ({"command": "tmin-spring", "system": {"name": "linear_oscillator", "k2": 2.0},
+      "target": [0.1, 0.0]}, "config.system.k2"),
+    ({"command": "simulate", "system": OSC_JSON, "x0": [0.3, 0.4], "T": 1.0,
+      "control": {"constant": [0.5], "values": [[1.0]]}}, "config.control.values"),
+    ({"command": "linearize", "system": _SPRING, "x0": [0.1, 0.0], "T": 1.0,
+      "control": {"constant": [0.3]}, "K": 8}, "config.K"),
+    ({"command": "check-extremal", "system": OSC_JSON, "x0": [0.7, 0.0], "x1": [0.0, 0.0],
+      "t_max": 2.0}, "config.t_max"),
+], ids=["reach_n_steps", "tmin_linear_misspelt", "kalman_system_field",
+        "tmin_spring_unread_k2", "simulate_control_field", "linearize_K",
+        "check_extremal_linear_t_max"])
+def test_unknown_field_exit_2(tmp_path, capsys, config, field):
+    # every command rejects a field it does not read, before any work
+    assert run(config, out_dir=str(tmp_path)) == 2
+    assert f"{field}: unknown field" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
