@@ -67,7 +67,7 @@ def spring_checks():
 def oscillator_checks():
     """(system, extremal, manifolds) that the linear check-extremal route
     hands to check_extremal for every oscillator pool input."""
-    osc = cli._BUILTIN_LINEAR["linear_oscillator"]()
+    osc = nonlinear.equilibrium_linearization(nonlinear.make_system("linear_oscillator"))
     opts = linear_tmin.TminOptions(sample_step=cli._EXTREMAL_SAMPLE_STEP)
     for family in workloads.OSC_FAMILIES:
         for item in workloads.pool_candidates("oscillator-tmin", family):

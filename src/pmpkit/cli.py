@@ -14,7 +14,7 @@ import math
 import os
 import sys
 import tempfile
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -119,22 +119,27 @@ class _Cfg:
         return val
 
 
-# the linear built-ins are the registry systems that are linear; each is
-# its linearization at the origin
-_BUILTIN_LINEAR = {
-    "linear_oscillator": lambda: nonlinear.equilibrium_linearization(
-        nonlinear.make_system("linear_oscillator")),
-}
+def _parse_builtin(sub: _Cfg, linear: bool = False,
+                   default: Optional[str] = None) -> Tuple[str, dict]:
+    """(name, make_system parameters) of a ``nonlinear.REGISTRY`` system;
+    ``linear`` admits only the entries that fix k2 at 0.  k2 is read only
+    where the entry takes it, so reject_unread refuses it on the others."""
+    known = sorted(name for name, k2 in nonlinear.REGISTRY.items()
+                   if not linear or k2 is None)
+    name = sub.string("name", default=default)
+    if name not in known:
+        raise ConfigError(f"{sub.path}.name",
+                          f"unknown {'linear ' if linear else ''}system; known: {known}")
+    k2 = nonlinear.REGISTRY[name]
+    return name, {} if k2 is None else {"k2": sub.number("k2", default=k2, minimum=0.0)}
 
 
 def _parse_linear_system(cfg: _Cfg) -> LinearSystem:
     sub = cfg.sub("system")
     if sub.has("name"):
-        name = sub.string("name")
-        if name not in _BUILTIN_LINEAR:
-            raise ConfigError(f"{sub.path}.name",
-                              f"unknown linear system; known: {sorted(_BUILTIN_LINEAR)}")
-        return _BUILTIN_LINEAR[name]()
+        # a linear built-in is its own linearization at the origin
+        name, _ = _parse_builtin(sub, linear=True)
+        return nonlinear.equilibrium_linearization(nonlinear.make_system(name))
     sub.read.update(("A", "B", "bounds"))
     try:
         return LinearSystem.from_json_dict(sub.data)
@@ -204,14 +209,19 @@ def _csv_meta_lines(meta: dict) -> List[str]:
     ]
 
 
+def _write_csv(path: str, header: str, rows, meta: dict) -> None:
+    """The metadata comment lines, the header, then one line of %.17g
+    values per row (as many as the header has columns)."""
+    fmt = ",".join(["%.17g"] * (header.count(",") + 1))
+    lines = _csv_meta_lines(meta) + [header]
+    lines.extend(fmt % tuple(row) for row in rows)
+    _atomic_write(path, "\n".join(lines) + "\n")
+
+
 def _write_trajectory_csv(path: str, times: np.ndarray, states: np.ndarray,
                           meta: dict) -> None:
-    n = states.shape[1]
-    lines = _csv_meta_lines(meta)
-    lines.append("t," + ",".join(f"x{i + 1}" for i in range(n)))
-    for t, row in zip(times, states):
-        lines.append(",".join(f"{v:.17g}" for v in [t, *row]))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    header = "t," + ",".join(f"x{i + 1}" for i in range(states.shape[1]))
+    _write_csv(path, header, np.column_stack((times, states)).tolist(), meta)
 
 
 def _resolve_out(cfg: _Cfg, out_dir: Optional[str], default_name: str) -> str:
@@ -289,12 +299,9 @@ def _cmd_reach(cfg: _Cfg, out_dir, meta) -> str:
     cfg.reject_unread()
     hull = controllability.reach_hull(sys_lin, x0, T, K=K)
     if path.endswith(".csv"):
-        lines = _csv_meta_lines(meta)
-        lines.append("theta,d1,d2,p1,p2,value")
-        for d, p, v in zip(hull.directions, hull.support_points, hull.support_values):
-            row = [math.atan2(d[1], d[0]), *d, *p, v]
-            lines.append(",".join(f"{x:.17g}" for x in row))
-        _atomic_write(path, "\n".join(lines) + "\n")
+        rows = ([math.atan2(d[1], d[0]), *d, *p, v] for d, p, v in
+                zip(hull.directions, hull.support_points, hull.support_values))
+        _write_csv(path, "theta,d1,d2,p1,p2,value", rows, meta)
     else:
         _write_json(path, hull.to_json_dict(), meta)
     margin = hull.certificate_margin()
@@ -338,14 +345,9 @@ def _cmd_tmin_linear(cfg: _Cfg, out_dir, meta) -> str:
 def _parse_spring(cfg: _Cfg):
     """(k2, target) of a spring shooting config."""
     if cfg.has("system"):
-        sub = cfg.sub("system")
-        name = sub.string("name", default="nonlinear_spring")
-        if name not in ("nonlinear_spring", "linear_oscillator"):
-            raise ConfigError(f"{sub.path}.name",
-                              "expected nonlinear_spring or linear_oscillator")
-        k2 = 0.0 if name == "linear_oscillator" else sub.number("k2", default=2.0, minimum=0.0)
+        k2 = _parse_builtin(cfg.sub("system"), default="nonlinear_spring")[1].get("k2", 0.0)
     else:
-        k2 = cfg.number("k2", default=2.0, minimum=0.0)
+        k2 = cfg.number("k2", default=nonlinear.REGISTRY["nonlinear_spring"], minimum=0.0)
     target = cfg.vector("target") if cfg.has("target") else cfg.vector("x0")
     if len(target) != 2:
         raise ConfigError(f"{cfg.path}.target", "expected 2 entries")
@@ -382,7 +384,7 @@ _EXTREMAL_SAMPLE_STEP = 0.01
 
 def _cmd_check_extremal(cfg: _Cfg, out_dir, meta) -> str:
     spring = cfg.has("target") or (cfg.has("system") and cfg.sub("system").has("name")
-                                   and "spring" in cfg.sub("system").string("name"))
+                                   and "k2" in _parse_builtin(cfg.sub("system"))[1])
     if spring:
         k2, target = _parse_spring(cfg)
         opts = _spring_options(cfg)
@@ -395,7 +397,8 @@ def _cmd_check_extremal(cfg: _Cfg, out_dir, meta) -> str:
     else:
         sol_lin = linear_tmin.solve_tmin(
             sys_lin, x0, x1, linear_tmin.TminOptions(sample_step=_EXTREMAL_SAMPLE_STEP))
-        report = _linear_extremal_report(sys_lin, sol_lin)
+        nsys, ext, manifolds = _linear_extremal(sys_lin, sol_lin)
+        report = nonlinear.check_extremal(nsys, ext, **manifolds)
     _write_json(path, report.to_json_dict(), meta)
     worst = max(report.state_residual, report.adjoint_residual,
                 report.max_condition_residual, report.hamiltonian_residual)
@@ -430,23 +433,10 @@ def _linear_extremal(sys_lin: LinearSystem, sol):
     return nsys, ext, manifolds
 
 
-def _linear_extremal_report(sys_lin: LinearSystem, sol):
-    """Wrap a minimal-time linear solution as an extremal and check it."""
-    nsys, ext, manifolds = _linear_extremal(sys_lin, sol)
-    return nonlinear.check_extremal(nsys, ext, **manifolds)
-
-
 def _cmd_linearize(cfg: _Cfg, out_dir, meta) -> str:
     if cfg.has("system") and cfg.sub("system").has("name"):
-        sub = cfg.sub("system")
-        name = sub.string("name")
-        if name not in nonlinear.REGISTRY:
-            raise ConfigError(f"{sub.path}.name",
-                              f"unknown system; known: {sorted(nonlinear.REGISTRY)}")
-        kwargs = {}
-        if sub.has("k2"):
-            kwargs["k2"] = sub.number("k2", minimum=0.0)
-        nsys = nonlinear.make_system(name, **kwargs)
+        name, params = _parse_builtin(cfg.sub("system"))
+        nsys = nonlinear.make_system(name, **params)
     else:
         nsys = nonlinear.from_linear(_parse_linear_system(cfg))
     x0 = cfg.vector("x0")

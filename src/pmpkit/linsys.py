@@ -261,7 +261,7 @@ def simulate(sys: LinearSystem, x0, u: ControlSignal, T: float,
             x = E @ x + w
             t_i = bnd if i == n_sub - 1 else a + (i + 1) * h
             times.append(t_i)
-            states.append(x.copy())
+            states.append(x)
     times, states = np.array(times), np.array(states)
     finite = np.isfinite(states).all(axis=1)
     if not finite.all():

@@ -264,17 +264,20 @@ def _spring_system(k2: float) -> ControlSystem:
     )
 
 
-REGISTRY: Dict[str, Callable[..., ControlSystem]] = {
-    "linear_oscillator": lambda: _spring_system(0.0),
-    "nonlinear_spring": lambda k2=2.0: _spring_system(k2),
-}
+# the built-in systems x'' = -x - k2 x^3 + u, |u| <= 1, by name: the default
+# k2, or None where k2 is fixed at 0 and is not a parameter (the linear ones)
+REGISTRY: Dict[str, Optional[float]] = {"linear_oscillator": None, "nonlinear_spring": 2.0}
 
 
 def make_system(name: str, **params) -> ControlSystem:
     """Instantiate a registered built-in control system by name."""
     if name not in REGISTRY:
         raise ValueError(f"unknown system '{name}'; known: {sorted(REGISTRY)}")
-    return REGISTRY[name](**params)
+    k2 = REGISTRY[name]
+    if set(params) - {"k2"} or (k2 is None and params):
+        raise ValueError(f"system '{name}' takes {'no parameters' if k2 is None else 'only k2'}"
+                         f"; got {sorted(params)}")
+    return _spring_system(params.get("k2", k2 or 0.0))
 
 
 def from_linear(sys: LinearSystem, time_cost: bool = True) -> ControlSystem:

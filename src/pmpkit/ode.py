@@ -5,7 +5,7 @@ the time-stamped ``Trajectory`` that the solvers return.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -16,11 +16,10 @@ RHS = Callable[[float, np.ndarray], np.ndarray]
 
 @dataclass
 class Trajectory:
-    """Time-stamped states, optionally with matching adjoint samples."""
+    """Time-stamped states."""
 
     times: np.ndarray
     states: np.ndarray
-    adjoints: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -29,10 +28,6 @@ class Trajectory:
             raise ValueError("times and states must have matching lengths")
         if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
             raise ValueError("trajectory times must be strictly increasing")
-        if self.adjoints is not None:
-            self.adjoints = np.atleast_2d(np.asarray(self.adjoints, dtype=float))
-            if len(self.adjoints) != len(self.times):
-                raise ValueError("adjoints must match times in length")
 
     @property
     def t0(self) -> float:

@@ -427,3 +427,34 @@ def test_unknown_field_exit_2(tmp_path, capsys, config, field):
     assert run(config, out_dir=str(tmp_path)) == 2
     assert f"{field}: unknown field" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+# per command, the fields beside "system" that an oscillator config needs
+_SYSTEM_BASE = {
+    "kalman": {},
+    "simulate": {"x0": [0.3, 0.4], "T": 1.0, "control": {"constant": [0.5]}},
+    "reach": {"T": 1.0, "K": 8},
+    "tmin-linear": {"x0": [0.5, 0.0], "x1": [0.0, 0.0]},
+    "tmin-spring": {"target": [0.4, -0.2]},
+    "check-extremal": {"x0": [0.5, 0.0], "x1": [0.0, 0.0]},
+    "linearize": {"x0": [0.1, 0.0], "T": 1.0, "control": {"constant": [0.3]}},
+}
+
+
+@pytest.mark.parametrize("command, system, field", [
+    *[pytest.param(c, {"name": "bogus"}, "config.system.name", id=f"{c}-bogus")
+      for c in _SYSTEM_BASE],
+    *[pytest.param(c, {"name": "linear_oscillator", "k2": 1.0}, "config.system.k2",
+                   id=f"{c}-oscillator_k2") for c in _SYSTEM_BASE],
+    *[pytest.param(c, {"name": "nonlinear_spring"}, "config.system.name",
+                   id=f"{c}-spring_not_linear")
+      for c in ("kalman", "simulate", "reach", "tmin-linear")],
+])
+def test_system_rejected_as_config_error(tmp_path, capsys, command, system, field):
+    # every command resolves system.name through one table: an unknown name,
+    # a k2 on the oscillator (whose k2 is fixed at 0) and a nonlinear system
+    # on a linear command all exit 2 and name the field
+    config = {"command": command, **_SYSTEM_BASE[command], "system": system}
+    assert run(config, out_dir=str(tmp_path)) == 2
+    assert f"config error: {field}:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

@@ -107,6 +107,8 @@ def test_registry_names():
     assert local_controllability(make_system("nonlinear_spring", k2=2.0))
     with pytest.raises(ValueError):
         make_system("unknown_thing")
+    with pytest.raises(ValueError, match="k2"):
+        make_system("linear_oscillator", k2=1.0)
 
 
 def test_local_controllability_requires_equilibrium():
