@@ -35,7 +35,6 @@ from .nonlinear import (
     Extremal,
     ExtremalReport,
     LinearizedSystem,
-    SpringParams,
     SpringShootOptions,
     SpringSolution,
     check_extremal,
@@ -82,7 +81,6 @@ __all__ = [
     "ExtremalReport",
     "LinearizedSystem",
     "BoundaryManifold",
-    "SpringParams",
     "SpringShootOptions",
     "SpringSolution",
     "hamiltonian",

@@ -9,6 +9,7 @@ such as an unreachable target or chattering.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -170,17 +171,20 @@ def _parse_control(cfg: _Cfg, key: str, m: int, T: float,
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pmpkit-")
+    """Write via a temporary file; a path the system refuses is a ConfigError."""
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        directory = os.path.dirname(os.path.abspath(path)) or "."
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pmpkit-")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
             os.unlink(tmp)
-        raise
+            raise
+    except (OSError, ValueError) as exc:
+        raise ConfigError("config.output_path", f"cannot write the output file: {exc}")
 
 
 def _json_clean(obj: Any):
@@ -230,6 +234,11 @@ def _resolve_out(cfg: _Cfg, out_dir: Optional[str], default_name: str) -> str:
     if os.path.isdir(path):
         raise ConfigError(f"{cfg.path}.output_path", "names an existing directory")
     return path
+
+
+def _default(fn, name: str):
+    """The default of parameter ``name`` in the library function ``fn``."""
+    return inspect.signature(fn).parameters[name].default
 
 
 def _meta(config: dict, seed: Optional[int]) -> dict:
@@ -292,7 +301,7 @@ def _cmd_reach(cfg: _Cfg, out_dir, meta) -> str:
     T = cfg.number("T", minimum=0.0)
     if T <= 0:
         raise ConfigError(f"{cfg.path}.T", "must be positive")
-    K = cfg.integer("K", default=64)
+    K = cfg.integer("K", default=_default(controllability.reach_hull, "K"))
     if K < 3:
         raise ConfigError(f"{cfg.path}.K", "K >= 3 required")
     path = _resolve_out(cfg, out_dir, "hull.json")
@@ -327,9 +336,10 @@ def _cmd_tmin_linear(cfg: _Cfg, out_dir, meta) -> str:
     t_max = cfg.number("t_max") if cfg.has("t_max") else None
     if t_max is not None and t_max <= 0:
         raise ConfigError(f"{cfg.path}.t_max", "must be positive")
+    base = linear_tmin.TminOptions()
     opts = linear_tmin.TminOptions(
-        n_angles=cfg.integer("n_angles", default=720, minimum=8),
-        t_grid=cfg.integer("t_grid", default=500, minimum=10),
+        n_angles=cfg.integer("n_angles", default=base.n_angles, minimum=8),
+        t_grid=cfg.integer("t_grid", default=base.t_grid, minimum=10),
         t_max=t_max,
         endpoint_tol=cfg.number("endpoint_tol", minimum=0.0)
         if cfg.has("endpoint_tol") else None,
@@ -355,10 +365,11 @@ def _parse_spring(cfg: _Cfg):
 
 
 def _spring_options(cfg: _Cfg) -> nonlinear.SpringShootOptions:
+    base = nonlinear.SpringShootOptions()
     return nonlinear.SpringShootOptions(
-        n_alphas=cfg.integer("n_alphas", default=720, minimum=8),
-        n_steps=cfg.integer("n_steps", default=4000, minimum=100),
-        t_max=cfg.number("t_max", default=20.0, minimum=0.1),
+        n_alphas=cfg.integer("n_alphas", default=base.n_alphas, minimum=8),
+        n_steps=cfg.integer("n_steps", default=base.n_steps, minimum=100),
+        t_max=cfg.number("t_max", default=base.t_max, minimum=0.1),
     )
 
 
@@ -446,7 +457,8 @@ def _cmd_linearize(cfg: _Cfg, out_dir, meta) -> str:
     if T <= 0:
         raise ConfigError(f"{cfg.path}.T", "must be positive")
     u_ref = _parse_control(cfg, "control", nsys.m, T)
-    n_steps = cfg.integer("n_steps", default=4000, minimum=10)
+    n_steps = cfg.integer("n_steps", default=_default(nonlinear.linearize, "n_steps"),
+                          minimum=10)
     path = _resolve_out(cfg, out_dir, "reference.csv")
     cfg.reject_unread()
     lin = nonlinear.linearize(nsys, u_ref, x0, T, n_steps=n_steps)

@@ -120,9 +120,6 @@ class TminOptions:
     t_grid: int = 500
     t_max: Optional[float] = None
     endpoint_tol: Optional[float] = None   # default 1e-6 * (1 + |x1|)
-    max_newton: int = 50
-    max_seeds: int = 24
-    refine_rounds: int = 2
     sample_step: Optional[float] = None    # dense sampling of the returned trajectory
 
 
@@ -238,8 +235,7 @@ def solve_tmin(sys: LinearSystem, x0, x1,
         x, J = _fast_endpoint(sys, x0, theta, T)
         return x - x1, lambda: J
 
-    T_star, theta_star, stats = shoot2d(scan, residual, T_max, endpoint_tol,
-                                        opts.max_newton, opts.max_seeds, opts.refine_rounds)
+    T_star, theta_star, stats = shoot2d(scan, residual, T_max, endpoint_tol)
 
     eta0 = np.array([math.cos(theta_star), math.sin(theta_star)])
     profile = _bang.bang_profile(sys, eta0, T_star)
@@ -267,20 +263,17 @@ def _scan_candidates(sys: LinearSystem, x0, x1, T_max: float,
     thetas = 2.0 * math.pi * np.arange(n_angles) / n_angles
     etas0 = np.column_stack([np.cos(thetas), np.sin(thetas)])
 
-    # W_k = e^{-t_k A} B sampled by striding; switching signs on cell left edges
-    D_step = mat_exp(sys.A, -h)
-    W = np.empty((t_grid + 1, sys.n, sys.m))
-    W[0] = sys.B
-    for k in range(t_grid):
-        W[k + 1] = D_step @ W[k]
-    G = np.einsum("qi,kij->qkj", etas0, W)      # (Q, t_grid+1, m)
-    U = np.sign(G[:, :-1, :])
-    if np.any(U[:, 0, :] == 0):
-        U[:, 0, :][U[:, 0, :] == 0] = 1.0
-    for k in range(1, t_grid):
+    # switching signs on cell left edges t_k = k h: g_j(t_k) has the sign of
+    # c(t_k) a_j - s(t_k) b_j (``_bang``'s closed form)
+    sampler = _bang.AdjointSampler(sys.A, etas0)
+    c, s = sampler.cs(h * np.arange(t_grid))
+    a, b = (etas0 @ sys.B)[:, None], (etas0 @ sampler.N @ sys.B)[:, None]
+    U = np.sign(c[:, None] * a - s[:, None] * b)    # (Q, t_grid, m)
+    # a zero sign takes the previous cell's, or +1 in the first cell
+    U[:, 0, :][U[:, 0, :] == 0] = 1.0
+    for k in np.unique(np.nonzero(U[:, 1:, :] == 0)[1]) + 1:
         zero = U[:, k, :] == 0
-        if np.any(zero):
-            U[:, k, :][zero] = U[:, k - 1, :][zero]
+        U[:, k, :][zero] = U[:, k - 1, :][zero]
 
     X = np.tile(np.asarray(x0, dtype=float), (n_angles, 1))
     D = np.empty((n_angles, t_grid + 1))
@@ -294,6 +287,10 @@ def _scan_candidates(sys: LinearSystem, x0, x1, T_max: float,
 # ---------------------------------------------------------------------------
 # 2-D indirect shooting in (adjoint angle, final time), shared with the
 # nonlinear spring solver
+
+_MAX_SEEDS = 24       # Newton runs per round, from the nearest local minima
+_MAX_NEWTON = 50      # iterations per run
+_REFINE_ROUNDS = 2    # rescans with twice the angles after a round with no root
 
 
 def nearest_minima(D: np.ndarray, angles: np.ndarray, h: float, count: int):
@@ -323,14 +320,13 @@ def _near(roots, angle: float, T: float, d_angle: float, h: float) -> bool:
                for T_r, a_r, _ in roots)
 
 
-def shoot2d(scan, residual, t_max: float, tol: float, max_newton: int,
-            max_seeds: int, refine_rounds: int) -> Tuple[float, float, SolveStats]:
+def shoot2d(scan, residual, t_max: float, tol: float) -> Tuple[float, float, SolveStats]:
     """Smallest-time root (T, angle in [0, 2 pi)) of a 2-equation shooting
     residual, ties broken by smallest angle, and the search's counts.
 
     Round r calls scan(r) -> (D, angles, h), a distance table on a grid of
     time step h and angles uniform on [0, 2 pi) with spacing d_angle, and
-    runs ``_newton2`` from its ``max_seeds`` nearest local minima (T capped
+    runs ``_newton2`` from its ``_MAX_SEEDS`` nearest local minima (T capped
     at t_max + h).  Two rules skip work that cannot change the answer:
 
     - a seed at grid time T_s > best_T + h is skipped: a local minimum of D
@@ -342,7 +338,7 @@ def shoot2d(scan, residual, t_max: float, tol: float, max_newton: int,
       new root, so the first-found copy of a root stands.
 
     The first round with a root ends the search.  With no root after
-    1 + refine_rounds rounds, raises UnreachableTargetError carrying the
+    1 + _REFINE_ROUNDS rounds, raises UnreachableTargetError carrying the
     nearest seed of the last round.
     """
     stats = SolveStats()
@@ -358,10 +354,10 @@ def shoot2d(scan, residual, t_max: float, tol: float, max_newton: int,
             return True
         return False
 
-    for round_idx in range(1 + refine_rounds):
+    for round_idx in range(1 + _REFINE_ROUNDS):
         D, angles, h = scan(round_idx)
         stats.rounds += 1
-        seeds = nearest_minima(D, angles, h, max_seeds)
+        seeds = nearest_minima(D, angles, h, _MAX_SEEDS)
         d_angle = 2.0 * math.pi / len(angles)
         del D   # free this round's table before the next round scans
         best_T = math.inf
@@ -374,7 +370,7 @@ def shoot2d(scan, residual, t_max: float, tol: float, max_newton: int,
                 continue
             stats.seeds_run += 1
             try:    # the spring residual raises past its switch cap
-                sol = _newton2(counted, angle_s, T_s, t_max + h, tol, max_newton, known)
+                sol = _newton2(counted, angle_s, T_s, t_max + h, tol, _MAX_NEWTON, known)
             except ChatteringError:
                 continue
             if sol is None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "Extremal",
     "LinearizedSystem",
     "BoundaryManifold",
-    "SpringParams",
     "SpringSolution",
     "SpringShootOptions",
     "ExtremalReport",
@@ -168,20 +167,6 @@ class BoundaryManifold:
         if len(basis) and np.linalg.matrix_rank(basis) < len(basis):
             raise ValueError("tangent basis must be linearly independent")
         return cls(x, basis)
-
-
-@dataclass(frozen=True)
-class SpringParams:
-    """Mass-spring data for m x'' + k1 (x - l) + k2 (x - l)^3 = u."""
-
-    m_mass: float = 1.0
-    k1: float = 1.0
-    k2: float = 2.0
-    l: float = 0.0
-
-    def __post_init__(self):
-        if self.m_mass <= 0:
-            raise ValueError("m_mass must be positive")
 
 
 def hamiltonian(sys: ControlSystem, x, p, p0: float, u) -> float:
@@ -888,11 +873,6 @@ class SpringShootOptions:
     n_alphas: int = 720
     n_steps: int = 4000
     t_max: float = 20.0
-    endpoint_tol: Optional[float] = None    # default 1e-8 * (1 + |target|)
-    max_newton: int = 50
-    max_seeds: int = 24
-    refine_rounds: int = 2
-    abnormal_tol: float = 1e-6
 
 
 @dataclass
@@ -1005,8 +985,7 @@ def _integrate_reversed_ode(k2: float, alpha: float, t_end: float, h_nom: float)
     return np.array(times), np.array(states), np.array(switches)
 
 
-def spring_tmin_shoot(params: Union[SpringParams, float], target,
-                      options: Optional[SpringShootOptions] = None):
+def spring_tmin_shoot(k2: float, target, options: Optional[SpringShootOptions] = None):
     """Minimal-time steering of the nonlinear spring to rest at the origin.
 
     Integrates the time-reversed extremal system from the origin with the
@@ -1014,24 +993,16 @@ def spring_tmin_shoot(params: Union[SpringParams, float], target,
     states near the requested initial point, refines by damped Newton on the
     two-component residual (``linear_tmin.shoot2d``), and returns the
     forward-time solution together with its extremal and a residual report.
+    The spring is x'' + x + k2 x^3 = u with |u| <= 1.
     """
-    if isinstance(params, SpringParams):
-        if not (abs(params.m_mass - 1.0) <= 1e-12 and abs(params.k1 - 1.0) <= 1e-12
-                and abs(params.l) <= 1e-12):
-            raise ValueError("spring_tmin_shoot expects normalized parameters "
-                             "m=1, k1=1, l=0")
-        k2 = float(params.k2)
-    else:
-        k2 = float(params)
+    k2 = float(k2)
     if k2 < 0:
         raise ValueError("k2 must be nonnegative")
     target = np.asarray(target, dtype=float).reshape(-1)
     if target.shape != (2,) or not np.all(np.isfinite(target)):
         raise ValueError("target must be a finite 2-vector")
     opts = options or SpringShootOptions()
-    tol = opts.endpoint_tol
-    if tol is None:
-        tol = 1e-8 * (1.0 + float(np.linalg.norm(target)))
+    tol = 1e-8 * (1.0 + float(np.linalg.norm(target)))
     sys = _spring_system(k2)
 
     if np.linalg.norm(target) <= tol:
@@ -1054,8 +1025,7 @@ def spring_tmin_shoot(params: Union[SpringParams, float], target,
         xy, J = _reversed_endpoint(k2, alpha, t, h_nom)
         return xy - target, lambda: J
 
-    t_star, alpha_star, stats = shoot2d(scan, residual, opts.t_max, tol, opts.max_newton,
-                                        opts.max_seeds, opts.refine_rounds)
+    t_star, alpha_star, stats = shoot2d(scan, residual, opts.t_max, tol)
 
     # authoritative re-integration through the independent reference route
     n_final = max(800, int(math.ceil(t_star / h_nom)))
@@ -1077,7 +1047,7 @@ def spring_tmin_shoot(params: Union[SpringParams, float], target,
     # max_v H = |p_y(t*)| + p0, so p0 = -|cos alpha|; rescale to p0 = -1
     # unless the extremal is abnormal
     cos_a = abs(math.cos(alpha_star))
-    if cos_a > opts.abnormal_tol:
+    if cos_a > 1e-6:
         p0 = -1.0
         adjoint_f = adjoint_f / cos_a
     else:
@@ -1096,20 +1066,18 @@ def spring_tmin_shoot(params: Union[SpringParams, float], target,
         control=control,
         problem_kind="free-time",
     )
+    return _spring_solution(sys, ext, target, T_star=t_star,
+                            alpha=alpha_star % (2.0 * math.pi), switch_times=switches_f,
+                            endpoint_error=endpoint_error, stats=stats)
+
+
+def _spring_solution(sys: ControlSystem, ext: Extremal, target: np.ndarray, **fields):
+    """(SpringSolution, ext), the solution carrying ext's residual report
+    for the transfer from target to rest at the origin."""
     report = check_extremal(sys, ext,
                             m0=BoundaryManifold.point(target),
                             m1=BoundaryManifold.point(np.zeros(2)))
-    solution = SpringSolution(
-        T_star=t_star,
-        alpha=alpha_star % (2.0 * math.pi),
-        switch_times=switches_f,
-        endpoint_error=endpoint_error,
-        target=target.copy(),
-        p0=p0,
-        report=report,
-        stats=stats,
-    )
-    return solution, ext
+    return SpringSolution(target=target.copy(), p0=ext.p0, report=report, **fields), ext
 
 
 def _trivial_spring_solution(sys: ControlSystem, target: np.ndarray):
@@ -1121,12 +1089,6 @@ def _trivial_spring_solution(sys: ControlSystem, target: np.ndarray):
         control=None,
         problem_kind="free-time",
     )
-    report = check_extremal(sys, ext,
-                            m0=BoundaryManifold.point(target),
-                            m1=BoundaryManifold.point(np.zeros(2)))
-    solution = SpringSolution(
-        T_star=0.0, alpha=0.0, switch_times=np.empty(0),
-        endpoint_error=float(np.linalg.norm(target)),
-        target=target.copy(), p0=-1.0, report=report,
-    )
-    return solution, ext
+    return _spring_solution(sys, ext, target, T_star=0.0, alpha=0.0,
+                            switch_times=np.empty(0),
+                            endpoint_error=float(np.linalg.norm(target)))

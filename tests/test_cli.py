@@ -352,6 +352,17 @@ def test_output_path_naming_a_directory_exit_2(tmp_path, capsys):
     assert not list((tmp_path / "out").iterdir())
 
 
+@pytest.mark.parametrize("name", ["afile/k.json", "k" * 300 + ".json", "a\u0000b.json"],
+                         ids=["under_a_file", "name_too_long", "null_byte"])
+def test_unwritable_output_path_exit_2(tmp_path, capsys, name):
+    (tmp_path / "afile").write_text("")
+    rc = run({"command": "kalman", "system": OSC_JSON, "output_path": name},
+             out_dir=str(tmp_path))
+    assert rc == 2
+    assert "config.output_path: cannot write" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+
+
 def test_simulate_linear_blowup_exit_3(tmp_path, capsys):
     # x' = 50 x overflows near t = 14.2; no overflow warning, no nan rows
     with warnings.catch_warnings():

@@ -295,9 +295,8 @@ def test_unreachable_target_raises(monkeypatch):
     monkeypatch.setattr(linear_tmin, "_scan_candidates", counted)
     with pytest.raises(UnreachableTargetError) as exc:
         solve_tmin(sys, [0.0, 0.0], [5.0, 5.0],
-                   options=TminOptions(n_angles=90, t_grid=120, t_max=6.0,
-                                       refine_rounds=1))
-    assert len(calls) == 1 + 1
+                   options=TminOptions(n_angles=90, t_grid=120, t_max=6.0))
+    assert len(calls) == 1 + linear_tmin._REFINE_ROUNDS
     assert exc.value.best_residual > 1.0
     theta, T = exc.value.best_candidate
     assert 0.0 <= theta < 2.0 * math.pi and 0.0 < T <= 6.0
@@ -381,7 +380,7 @@ def test_shoot2d_skips_known_and_late_seeds():
     for (q, k), d in dips.items():
         D[q, k] = d
     calls = []
-    T, angle, stats = shoot2d(lambda r: (D, angles, h), residual, 5.0, 1e-6, 20, 24, 0)
+    T, angle, stats = shoot2d(lambda r: (D, angles, h), residual, 5.0, 1e-6)
     assert (T, angle) == pytest.approx((1.5, 4.0))
     for q, k in [(7, 21), (30, 40)]:
         assert (pytest.approx(angles[q]), pytest.approx(k * h)) not in calls

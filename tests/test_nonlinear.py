@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 import oracles
-from pmpkit import kernels, nonlinear
+from pmpkit import kernels, linear_tmin, nonlinear
 from pmpkit.errors import IntegrationBlowUp, UnreachableTargetError
 from pmpkit.linsys import ControlSignal, LinearSystem, simulate
 from pmpkit.nonlinear import (
     BoundaryManifold,
     ControlSystem,
     Extremal,
-    SpringParams,
     SpringShootOptions,
     check_extremal,
     extremal_rhs,
@@ -607,8 +606,6 @@ def test_spring_trivial_target():
 
 def test_spring_params_validation():
     with pytest.raises(ValueError):
-        spring_tmin_shoot(SpringParams(m_mass=2.0), [0.1, 0.0])
-    with pytest.raises(ValueError):
         spring_tmin_shoot(-1.0, [0.1, 0.0])
     with pytest.raises(ValueError):
         spring_tmin_shoot(2.0, [0.1, np.nan])
@@ -658,9 +655,8 @@ def test_spring_unreachable_horizon(monkeypatch):
     with pytest.raises(UnreachableTargetError) as exc:
         spring_tmin_shoot(2.0, [40.0, 0.0],
                           options=SpringShootOptions(n_alphas=90, n_steps=400,
-                                                     t_max=2.0,
-                                                     refine_rounds=1))
-    assert len(calls) == 1 + 1
+                                                     t_max=2.0))
+    assert len(calls) == 1 + linear_tmin._REFINE_ROUNDS
     assert exc.value.best_residual > 1.0
     alpha, t = exc.value.best_candidate
     assert 0.0 <= alpha < 2.0 * math.pi and 0.0 < t <= 2.0
@@ -672,8 +668,7 @@ def test_failing_solve_caches_only_first_round(monkeypatch):
     with pytest.raises(UnreachableTargetError):
         spring_tmin_shoot(2.0, [40.0, 0.0],
                           options=SpringShootOptions(n_alphas=90, n_steps=400,
-                                                     t_max=2.0,
-                                                     refine_rounds=2))
+                                                     t_max=2.0))
     assert list(nonlinear._SCAN_CACHE) == [(2.0, 90, 2.0, 400)]
 
 
